@@ -213,7 +213,7 @@ def cmd_genus(args) -> int:
         _emit(report, args,
               f"genus({sp.name}) {'=' if rep.exact else '>='} {rep.genus}")
         return EXIT_OK if rep.exact else EXIT_UNKNOWN
-    ok = hatX_genus0_check(sp, budget=args.budget)
+    ok = hatX_genus0_check(sp)
     report = {"space": sp.name, "compactification_genus0": ok}
     _emit(report, args, f"compactification of {sp.name} genus 0: {ok}")
     return EXIT_OK

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 from typing import Callable, Optional
 
 from .space import FiniteSpace, Region, RegionError
@@ -38,7 +40,7 @@ from .solid import (
     upset_catalog,
 )
 from .ssf import ConditionVerdict, SolidSetFunction, _cells
-from .values import INF, Value, format_value, is_inf, vadd, vsub, vsum
+from .values import INF, Value, format_value, is_inf, vadd, vsum
 
 
 # ----- the three-stage extension ------------------------------------------------
@@ -359,6 +361,132 @@ def _pair_witness(a: int, b: int, lhs: Value, rhs: Value, extra: str = "") -> di
     return w
 
 
+class _ValueTable:
+    """μ on every closed and open set as exact ints: finite values times the
+    LCM ``den`` of their denominators, and ``INF`` as the sentinel ``top``.
+
+    With M the largest finite magnitude, a sum of two finite entries lies in
+    [-2M, 2M] and a sum with a ``top`` term exceeds 2M, so :meth:`add`
+    saturates exactly the sums that ``vadd`` makes infinite, and the map
+    keeps both the equality and the order of :data:`Value`.
+    """
+
+    def __init__(self, mu: Callable[[int], Value], masks):
+        self.mu = mu
+        values = {m: mu(m) for m in masks}
+        finite = {m: v for m, v in values.items() if not is_inf(v)}
+        self.den = lcm(*(v.denominator for v in finite.values()))
+        scaled = {m: v.numerator * (self.den // v.denominator) for m, v in finite.items()}
+        bound = max(map(abs, scaled.values()), default=0)
+        self.lim, self.top = 2 * bound, 3 * bound + 1
+        self.t = {m: scaled.get(m, self.top) for m in values}
+
+    def add(self, x: int, y: int) -> int:
+        s = x + y
+        return s if s <= self.lim else self.top
+
+    def value(self, x: int) -> Value:
+        return INF if x > self.lim else Fraction(x, self.den)
+
+
+# Maps the digits of ``bin`` to the 0/1 bytes that ``compress`` selects by.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _Columns:
+    """A catalog indexed by cell: bit j of ``has[c]`` is set when member j
+    contains cell c, so a sweep row selects the members disjoint from it with
+    one big-int operation per cell of the row instead of one test per member
+    (on the shipped spaces most rows keep under one member in a hundred)."""
+
+    def __init__(self, masks: list[int], cell_count: int):
+        self.masks = masks
+        self.all = (1 << len(masks)) - 1
+        rev = masks[::-1]
+        self.has = [
+            int("0" + "".join(["01"[m >> c & 1] for m in rev]), 2)
+            for c in range(cell_count)
+        ]
+
+    def disjoint_from(self, a: int, start: int = 0) -> list[int]:
+        """Members disjoint from ``a``, from position ``start`` on, in order."""
+        has, hit = self.has, 0
+        while a:
+            low = a & -a
+            hit |= has[low.bit_length() - 1]
+            a ^= low
+        keep = bin(self.all >> start << start & ~hit)[:1:-1].encode().translate(_BITS)
+        return list(compress(self.masks, keep))
+
+
+def _first_failure(method: str, rows, witness) -> ConditionVerdict:
+    """Verdict of a pair sweep, row by row.  ``rows`` yields ``(a, kept,
+    bad)``: the row's columns that pass the sweep's filter, in sweep order,
+    and those of them that fail its check.  ``checked`` counts the filtered
+    pairs up to and including the first failure."""
+    checked = 0
+    for a, kept, bad in rows:
+        if bad:
+            b = bad[0]
+            return ConditionVerdict(
+                "fail", method, checked + kept.index(b) + 1, 0, witness(a, b)
+            )
+        checked += len(kept)
+    return ConditionVerdict("pass", method, checked)
+
+
+def _first_bad_row(method: str, checked: int, witnesses) -> ConditionVerdict:
+    """Verdict of a sweep that checks each catalog member once; ``witnesses``
+    yields a counterexample per failing member."""
+    bad = next(witnesses, None)
+    return ConditionVerdict("pass" if bad is None else "fail", method, checked, 0, bad)
+
+
+def _additivity_sweep(
+    vt: _ValueTable, method: str, cols: _Columns, rows=None, member=None
+) -> ConditionVerdict:
+    """μ(A∪B) = μ(A) + μ(B) for disjoint A in ``rows`` and B in ``cols``,
+    restricted to unions in ``member`` when it is given.  Without ``rows``,
+    A and B both range over ``cols``, B at or after A."""
+    t, add, mu = vt.t, vt.add, vt.mu
+
+    def sweep():
+        for i, a in enumerate(cols.masks if rows is None else rows):
+            ta = t[a]
+            kept = cols.disjoint_from(a, i if rows is None else 0)
+            if member is not None:
+                kept = [b for b in kept if (a | b) in member]
+            # The plain sum differs from the saturating one only when a
+            # term is top, so the second test runs only on those pairs.
+            yield a, kept, [
+                b for b in kept if t[a | b] != ta + t[b] and t[a | b] != add(ta, t[b])
+            ]
+
+    return _first_failure(
+        method, sweep(), lambda a, b: _pair_witness(a, b, mu(a | b), vadd(mu(a), mu(b)))
+    )
+
+
+def _subadditivity_sweep(vt: _ValueTable, catalog: list[int], label: str) -> ConditionVerdict:
+    t, add, mu = vt.t, vt.add, vt.mu
+    values = [t[m] for m in catalog]
+
+    def sweep():
+        for i, a in enumerate(catalog):
+            ta, kept = t[a], catalog[i:]
+            yield a, kept, [
+                b for b, tb in zip(kept, values[i:])
+                if t[a | b] > ta + tb and t[a | b] > add(ta, tb)
+            ]
+
+    return _first_failure(
+        f"subadditivity over {label}", sweep(),
+        lambda a, b: _pair_witness(
+            a, b, mu(a | b), vadd(mu(a), mu(b)), "lhs=mu(A∪B) exceeds rhs=mu(A)+mu(B)"
+        ),
+    )
+
+
 def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
     sp = tm.space
     conditions: dict[str, ConditionVerdict] = {}
@@ -373,146 +501,118 @@ def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
         return TmValidationReport(sp.name, tm.kind, conditions, informational, "unknown")
     compacts = [m for m in closeds if sp.is_bounded_mask(m)]
     mu = tm.mu_mask
+    # Every sweep below reads μ only on closed and open sets (X is open).
+    vt = _ValueTable(mu, set(closeds) | set(opens))
+    t, add, xm = vt.t, vt.add, sp.x_mask
+    closed_cols = _Columns(closeds, sp.cell_count)
+    open_cols = _Columns(opens, sp.cell_count)
+    compact_cols = _Columns(compacts, sp.cell_count)
 
     # TM1: additivity over disjoint pairs of 𝒦 ∪ 𝒪 with union in 𝒦 ∪ 𝒪.
     domain = sorted(set(compacts) | set(opens))
-    member = set(domain)
-    verdict = None
-    checked = 0
-    for i, a in enumerate(domain):
-        for b in domain[i:]:
-            if a & b or (a | b) not in member:
-                continue
-            checked += 1
-            lhs = mu(a | b)
-            rhs = vadd(mu(a), mu(b))
-            if lhs != rhs:
-                verdict = ConditionVerdict(
-                    "fail", "disjoint pair sweep over compacts and opens", checked, 0,
-                    _pair_witness(a, b, lhs, rhs),
-                )
-                break
-        if verdict:
-            break
-    conditions["TM1"] = verdict or ConditionVerdict(
-        "pass", "disjoint pair sweep over compacts and opens", checked
+    conditions["TM1"] = _additivity_sweep(
+        vt, "disjoint pair sweep over compacts and opens",
+        _Columns(domain, sp.cell_count), member=set(domain),
     )
 
     # TM2: inner regularity on opens.
-    verdict = None
-    for u in opens:
-        best: Value = Fraction(0)
-        for k in compacts:
-            if not k & ~u:
-                v = mu(k)
-                if best < v:
-                    best = v
-        if best != mu(u):
-            verdict = ConditionVerdict(
-                "fail", "literal sup over compact subsets", len(opens), 0,
-                {"open": _cells(u), "sup": format_value(best), "value": format_value(mu(u))},
-            )
-            break
-    conditions["TM2"] = verdict or ConditionVerdict(
-        "pass", "literal sup over compact subsets", len(opens)
+    def inner_gaps():
+        for u in opens:
+            best = max([0] + [t[k] for k in compact_cols.disjoint_from(xm & ~u)])
+            if best != t[u]:
+                yield {"open": _cells(u), "sup": format_value(vt.value(best)),
+                       "value": format_value(mu(u))}
+
+    conditions["TM2"] = _first_bad_row(
+        "literal sup over compact subsets", len(opens), inner_gaps()
     )
 
-    # TM3: outer regularity on closeds (X is always an open superset).
-    verdict = None
-    for f in closeds:
-        best: Optional[Value] = None
-        for u in opens:
-            if not f & ~u:
-                v = mu(u)
-                if best is None or v < best:
-                    best = v
-        limit = INF if best is None else best
-        if limit != mu(f):
-            verdict = ConditionVerdict(
-                "fail", "literal inf over open supersets", len(closeds), 0,
-                {"closed": _cells(f), "inf": format_value(limit), "value": format_value(mu(f))},
-            )
-            break
-    conditions["TM3"] = verdict or ConditionVerdict(
-        "pass", "literal inf over open supersets", len(closeds)
+    # TM3: outer regularity on closeds (X is always an open superset).  The
+    # open supersets of F are the complements of the closed sets disjoint
+    # from F.
+    def outer_gaps():
+        for f in closeds:
+            best = min([t[xm ^ c] for c in closed_cols.disjoint_from(f)], default=vt.top)
+            if best != t[f]:
+                yield {"closed": _cells(f), "inf": format_value(vt.value(best)),
+                       "value": format_value(mu(f))}
+
+    conditions["TM3"] = _first_bad_row(
+        "literal inf over open supersets", len(closeds), outer_gaps()
     )
 
     # (c1) compact carving: μ(U) = μ(K) + μ(U \ K) for compact K inside open U.
-    verdict = None
-    checked = 0
-    for u in opens:
-        for k in compacts:
-            if k & ~u:
-                continue
-            checked += 1
-            lhs = mu(u)
-            rhs = vadd(mu(k), mu(u & ~k))
-            if lhs != rhs:
-                verdict = ConditionVerdict(
-                    "fail", "compact-inside-open sweep", checked, 0,
-                    _pair_witness(u, k, lhs, rhs, "lhs=mu(U), rhs=mu(K)+mu(U\\K)"),
-                )
-                break
-        if verdict:
-            break
-    conditions["c1"] = verdict or ConditionVerdict("pass", "compact-inside-open sweep", checked)
+    def carvings():
+        for u in opens:
+            tu, kept = t[u], compact_cols.disjoint_from(xm & ~u)
+            yield u, kept, [
+                k for k in kept if t[k] + t[u ^ k] != tu and add(t[k], t[u ^ k]) != tu
+            ]
+
+    conditions["c1"] = _first_failure(
+        "compact-inside-open sweep", carvings(),
+        lambda u, k: _pair_witness(
+            u, k, mu(u), vadd(mu(k), mu(u & ~k)), "lhs=mu(U), rhs=mu(K)+mu(U\\K)"
+        ),
+    )
 
     # (c2) disjoint compact pairs; (c3) disjoint open pairs.
-    conditions["c2"] = _disjoint_pair_sweep(mu, compacts, "disjoint compact pairs")
-    conditions["c3"] = _disjoint_pair_sweep(mu, opens, "disjoint open pairs")
+    conditions["c2"] = _additivity_sweep(vt, "disjoint compact pairs sweep", compact_cols)
+    conditions["c3"] = _additivity_sweep(vt, "disjoint open pairs sweep", open_cols)
 
     # Closed F, compact K additivity (holds for every topological measure).
-    verdict = None
-    checked = 0
-    for f in closeds:
-        for k in compacts:
-            if f & k:
-                continue
-            checked += 1
-            lhs = mu(f | k)
-            rhs = vadd(mu(f), mu(k))
-            if lhs != rhs:
-                verdict = ConditionVerdict(
-                    "fail", "disjoint closed-compact sweep", checked, 0,
-                    _pair_witness(f, k, lhs, rhs),
-                )
-                break
-        if verdict:
-            break
-    conditions["closed_compact_additivity"] = verdict or ConditionVerdict(
-        "pass", "disjoint closed-compact sweep", checked
+    conditions["closed_compact_additivity"] = _additivity_sweep(
+        vt, "disjoint closed-compact sweep", compact_cols, closeds
     )
 
     # Wheeler-style conditions (compact spaces only).
     if sp.infinity is None:
-        conditions.update(_wheeler_conditions(sp, mu, closeds, opens))
+        # (w1) monotone on closed sets: the closed supersets of C are the
+        # complements of the open sets disjoint from C.
+        def nestings():
+            for c in closeds:
+                tc, kept = t[c], sorted(xm ^ u for u in open_cols.disjoint_from(c))
+                yield c, kept, [k for k in kept if t[k] < tc]
+
+        conditions["wheeler_monotone_closed"] = _first_failure(
+            "nested closed pair sweep", nestings(),
+            lambda c, k: _pair_witness(c, k, mu(c), mu(k), "mu not monotone on closeds"),
+        )
+
+        # (w3) each closed C pairs with a disjoint closed K almost filling X.
+        def exhaustion_gaps():
+            for c in closeds:
+                fill = add(t[c], max([0] + [t[k] for k in closed_cols.disjoint_from(c)]))
+                if fill != t[xm]:
+                    yield {
+                        "closed": _cells(c),
+                        "mu_plus_best_disjoint": format_value(vt.value(fill)),
+                        "mu_X": format_value(mu(xm)),
+                    }
+
+        conditions["wheeler_disjoint_exhaustion"] = _first_bad_row(
+            "max disjoint closed complement sweep", len(closeds), exhaustion_gaps()
+        )
+
+        # (w4) open-closed complement identity.
+        conditions["wheeler_open_complement"] = _first_bad_row(
+            "open complement sweep", len(opens),
+            (
+                {"open": _cells(u),
+                 "mu_U_plus_mu_complement": format_value(vadd(mu(u), mu(xm & ~u))),
+                 "mu_X": format_value(mu(xm))}
+                for u in opens if add(t[u], t[xm & ~u]) != t[xm]
+            ),
+        )
 
     # Informational: additivity on 𝒞 ∪ 𝒪 (fails for some proper measures).
-    verdict = None
-    checked = 0
-    co_member = set(closeds) | set(opens)
-    for f in closeds:
-        for u in opens:
-            if f & u or (f | u) not in co_member:
-                continue
-            checked += 1
-            lhs = mu(f | u)
-            rhs = vadd(mu(f), mu(u))
-            if lhs != rhs:
-                verdict = ConditionVerdict(
-                    "fail", "disjoint closed-open sweep", checked, 0,
-                    _pair_witness(f, u, lhs, rhs),
-                )
-                break
-        if verdict:
-            break
-    informational["closed_open_additivity"] = verdict or ConditionVerdict(
-        "pass", "disjoint closed-open sweep", checked
+    informational["closed_open_additivity"] = _additivity_sweep(
+        vt, "disjoint closed-open sweep", open_cols, closeds, set(closeds) | set(opens)
     )
 
     # Subadditivity criteria deciding measure-extendability.
-    sub_c = _subadditivity_sweep(mu, compacts, "compact pairs")
-    sub_o = _subadditivity_sweep(mu, opens, "open pairs")
+    sub_c = _subadditivity_sweep(vt, compacts, "compact pairs")
+    sub_o = _subadditivity_sweep(vt, opens, "open pairs")
     informational["subadditivity_compacts"] = sub_c
     informational["subadditivity_opens"] = sub_o
     classification = (
@@ -525,131 +625,25 @@ def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
     # and a two-valued λ must yield a two-valued μ.
     if getattr(tm, "engine_built", False) and tm.lam is not None:
         lam = tm.lam
-        verdict = None
         solids = bounded_solid_catalog(sp, catalog_cap)
-        for m in solids:
-            if mu(m) != lam.value(m):
-                verdict = ConditionVerdict(
-                    "fail", "sweep over bounded solids", len(solids), 0,
-                    {
-                        "solid": _cells(m),
-                        "mu": format_value(mu(m)),
-                        "lambda": format_value(lam.value(m)),
-                    },
-                )
-                break
-        conditions["mu_equals_lambda_on_solids"] = verdict or ConditionVerdict(
-            "pass", "sweep over bounded solids", len(solids)
+        conditions["mu_equals_lambda_on_solids"] = _first_bad_row(
+            "sweep over bounded solids", len(solids),
+            (
+                {"solid": _cells(m), "mu": format_value(mu(m)),
+                 "lambda": format_value(lam.value(m))}
+                for m in solids if mu(m) != lam.value(m)
+            ),
         )
         if lam.is_two_valued():
-            bad = None
-            for m in domain:
-                if mu(m) not in (0, 1):
-                    bad = {"region": _cells(m), "mu": format_value(mu(m))}
-                    break
-            conditions["simplicity_propagation"] = (
-                ConditionVerdict("pass", "two-valued sweep over compacts and opens", len(domain))
-                if bad is None
-                else ConditionVerdict(
-                    "fail", "two-valued sweep over compacts and opens", len(domain), 0, bad
-                )
+            conditions["simplicity_propagation"] = _first_bad_row(
+                "two-valued sweep over compacts and opens", len(domain),
+                (
+                    {"region": _cells(m), "mu": format_value(mu(m))}
+                    for m in domain if mu(m) not in (0, 1)
+                ),
             )
 
     return TmValidationReport(sp.name, tm.kind, conditions, informational, classification)
-
-
-def _disjoint_pair_sweep(mu, catalog: list[int], label: str) -> ConditionVerdict:
-    checked = 0
-    for i, a in enumerate(catalog):
-        for b in catalog[i:]:
-            if a & b:
-                continue
-            checked += 1
-            lhs = mu(a | b)
-            rhs = vadd(mu(a), mu(b))
-            if lhs != rhs:
-                return ConditionVerdict(
-                    "fail", f"{label} sweep", checked, 0, _pair_witness(a, b, lhs, rhs)
-                )
-    return ConditionVerdict("pass", f"{label} sweep", checked)
-
-
-def _subadditivity_sweep(mu, catalog: list[int], label: str) -> ConditionVerdict:
-    checked = 0
-    for i, a in enumerate(catalog):
-        for b in catalog[i:]:
-            checked += 1
-            lhs = mu(a | b)
-            rhs = vadd(mu(a), mu(b))
-            if not (lhs <= rhs):
-                return ConditionVerdict(
-                    "fail", f"subadditivity over {label}", checked, 0,
-                    _pair_witness(a, b, lhs, rhs, "lhs=mu(A∪B) exceeds rhs=mu(A)+mu(B)"),
-                )
-    return ConditionVerdict("pass", f"subadditivity over {label}", checked)
-
-
-def _wheeler_conditions(sp, mu, closeds, opens) -> dict[str, ConditionVerdict]:
-    out: dict[str, ConditionVerdict] = {}
-    # (w1) monotone on closed sets.
-    verdict = None
-    checked = 0
-    for c in closeds:
-        for k in closeds:
-            if c & ~k:
-                continue
-            checked += 1
-            if not (mu(c) <= mu(k)):
-                verdict = ConditionVerdict(
-                    "fail", "nested closed pair sweep", checked, 0,
-                    _pair_witness(c, k, mu(c), mu(k), "mu not monotone on closeds"),
-                )
-                break
-        if verdict:
-            break
-    out["wheeler_monotone_closed"] = verdict or ConditionVerdict(
-        "pass", "nested closed pair sweep", checked
-    )
-    # (w3) each closed C pairs with a disjoint closed K almost filling X.
-    total = mu(sp.x_mask)
-    verdict = None
-    for c in closeds:
-        best: Value = Fraction(0)
-        for k in closeds:
-            if not k & c:
-                v = mu(k)
-                if best < v:
-                    best = v
-        if vadd(mu(c), best) != total:
-            verdict = ConditionVerdict(
-                "fail", "max disjoint closed complement sweep", len(closeds), 0,
-                {
-                    "closed": _cells(c),
-                    "mu_plus_best_disjoint": format_value(vadd(mu(c), best)),
-                    "mu_X": format_value(total),
-                },
-            )
-            break
-    out["wheeler_disjoint_exhaustion"] = verdict or ConditionVerdict(
-        "pass", "max disjoint closed complement sweep", len(closeds)
-    )
-    # (w4) open-closed complement identity.
-    verdict = None
-    for u in opens:
-        if vadd(mu(u), mu(sp.x_mask & ~u)) != total:
-            verdict = ConditionVerdict(
-                "fail", "open complement sweep", len(opens), 0,
-                {
-                    "open": _cells(u),
-                    "mu_U_plus_mu_complement": format_value(vadd(mu(u), mu(sp.x_mask & ~u))),
-                    "mu_X": format_value(total),
-                },
-            )
-            break
-    out["wheeler_open_complement"] = verdict or ConditionVerdict(
-        "pass", "open complement sweep", len(opens)
-    )
-    return out
 
 
 # ----- counterexample search ----------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Iterator, Optional
 from .space import FiniteSpace, Region
 from .solid import (
     BudgetExceeded,
-    bounded_open_solid_catalog,
     bounded_solid_catalog,
     compact_solid_catalog,
     is_solid_mask,
@@ -324,31 +323,13 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def hatX_genus0_check(
-    sp: FiniteSpace, family_size_bound: int = 3, budget: int = 2_000_000
-) -> bool:
-    """Whether the one-point compactification has genus 0.
+def hatX_genus0_check(sp: FiniteSpace) -> bool:
+    """Whether the one-point compactification is certified to have genus 0.
 
-    A vanishing first cohomology of the order complex certifies genus 0
-    directly; otherwise a bounded disjoint-family search looks for a
-    disconnecting witness (genus >= 1).  An inconclusive search counts as
-    False (the shortcut it gates must not fire without a certificate).
+    A vanishing first cohomology of the order complex certifies genus 0.
+    Without that certificate the answer is False, so the shortcut it gates
+    never fires on an unproven claim.
     """
     if sp.infinity is None:
         raise ValueError("hatX_genus0_check requires a space with an infinity cell")
-    hat = sp.compactified()
-    if _first_betti_mod2(hat) == 0:
-        return True
-    try:
-        for fam in _disjoint_closed_families(hat, family_size_bound, budget):
-            if len(fam) < 2:
-                continue
-            removed = 0
-            for m in fam:
-                removed |= m
-            if not hat.connected(hat.x_mask & ~removed):
-                return False
-    except BudgetExceeded:
-        return False
-    # No witness found within bounds but homology is nonzero: inconclusive.
-    return False
+    return _first_betti_mod2(sp.compactified()) == 0

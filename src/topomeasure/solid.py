@@ -149,6 +149,10 @@ def decompose_open_minus_compact(
 # (keeping the enumeration duplicate-free and deterministic).
 
 
+def _over_cap(sp: FiniteSpace, cap: int) -> BudgetExceeded:
+    return BudgetExceeded(f"down-set catalog of {sp.name} exceeds cap {cap}")
+
+
 def _enumerate_downsets(sp: FiniteSpace, cap: Optional[int]) -> list[int]:
     n = sp.cell_count
     down = sp.down
@@ -157,9 +161,7 @@ def _enumerate_downsets(sp: FiniteSpace, cap: Optional[int]) -> list[int]:
 
     def rec(current: int, banned: int) -> None:
         if cap is not None and len(out) > cap:
-            raise BudgetExceeded(
-                f"down-set catalog of {sp.name} exceeds cap {cap}"
-            )
+            raise _over_cap(sp, cap)
         for cell in range(n):
             bit = 1 << cell
             if bit & (current | banned) or not bit & xm:
@@ -177,44 +179,47 @@ def _enumerate_downsets(sp: FiniteSpace, cap: Optional[int]) -> list[int]:
     return out
 
 
+# Each catalog is cached once per space, whatever cap it was asked with: an
+# enumeration that finishes is complete, and the cap only decides whether
+# the complete list is too long.  Callers must not mutate the shared lists.
+
+
 def downset_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> list[int]:
-    """All down-closed subsets of X (the closed regions), sorted."""
-    key = ("downsets", cap)
-    hit = sp._cache.get(key)
+    """All down-closed subsets of X (the closed regions), sorted.  Raises
+    BudgetExceeded when there are more than ``cap`` of them."""
+    hit = sp._cache.get("downsets")
     if hit is None:
-        hit = sp._cache[key] = _enumerate_downsets(sp, cap)
+        hit = sp._cache["downsets"] = _enumerate_downsets(sp, cap)
+    elif cap is not None and len(hit) > cap:
+        raise _over_cap(sp, cap)
     return hit
 
 
 def upset_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> list[int]:
     """All up-closed subsets of X (the open regions), sorted."""
-    key = ("upsets", cap)
-    hit = sp._cache.get(key)
+    downsets = downset_catalog(sp, cap)
+    hit = sp._cache.get("upsets")
     if hit is None:
-        hit = sp._cache[key] = sorted(sp.x_mask & ~d for d in downset_catalog(sp, cap))
+        hit = sp._cache["upsets"] = sorted(sp.x_mask & ~d for d in downsets)
     return hit
 
 
 def compact_solid_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> list[int]:
-    key = ("compact-solid", cap)
-    hit = sp._cache.get(key)
+    downsets = downset_catalog(sp, cap)
+    hit = sp._cache.get("compact-solid")
     if hit is None:
-        hit = sp._cache[key] = [
-            m
-            for m in downset_catalog(sp, cap)
-            if sp.is_bounded_mask(m) and _solid_mask(sp, m)
+        hit = sp._cache["compact-solid"] = [
+            m for m in downsets if sp.is_bounded_mask(m) and _solid_mask(sp, m)
         ]
     return hit
 
 
 def bounded_open_solid_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> list[int]:
-    key = ("open-solid-bounded", cap)
-    hit = sp._cache.get(key)
+    upsets = upset_catalog(sp, cap)
+    hit = sp._cache.get("open-solid-bounded")
     if hit is None:
-        hit = sp._cache[key] = [
-            m
-            for m in upset_catalog(sp, cap)
-            if sp.is_bounded_mask(m) and _solid_mask(sp, m)
+        hit = sp._cache["open-solid-bounded"] = [
+            m for m in upsets if sp.is_bounded_mask(m) and _solid_mask(sp, m)
         ]
     return hit
 
@@ -222,12 +227,11 @@ def bounded_open_solid_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> li
 def bounded_solid_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> list[int]:
     """All of 𝒜*_s(X) = compact solids ∪ bounded open solids, deduplicated
     (the empty region is both), sorted."""
-    key = ("bounded-solid", cap)
-    hit = sp._cache.get(key)
+    compacts = compact_solid_catalog(sp, cap)
+    opens = bounded_open_solid_catalog(sp, cap)
+    hit = sp._cache.get("bounded-solid")
     if hit is None:
-        merged = set(compact_solid_catalog(sp, cap))
-        merged.update(bounded_open_solid_catalog(sp, cap))
-        hit = sp._cache[key] = sorted(merged)
+        hit = sp._cache["bounded-solid"] = sorted(set(compacts) | set(opens))
     return hit
 
 

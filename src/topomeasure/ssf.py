@@ -487,11 +487,11 @@ def validate_ssf(lam: SolidSetFunction, budget: SsfBudget = SsfBudget()) -> SsfV
     premises_ok = (
         conditions["s1"].verdict == "pass" and conditions["s2"].verdict == "pass"
     )
-    conditions["s4"] = _check_s4(lam, solids, compacts, opens, budget, premises_ok)
+    conditions["s4"] = _check_s4(lam, solids, budget, premises_ok)
 
     # Compact spaces: the alternative axiom route, reported side by side.
     if sp.infinity is None:
-        conditions.update(_check_ssfc(lam, solids, compacts, opens, budget))
+        conditions.update(_check_ssfc(lam, solids, conditions["s2"], budget))
     return SsfValidationReport(sp.name, lam.kind, conditions)
 
 
@@ -502,7 +502,7 @@ def _genus_report(sp: FiniteSpace):
     return sp._cache[key]
 
 
-def _check_s4(lam, solids, compacts, opens, budget, premises_ok: bool) -> ConditionVerdict:
+def _check_s4(lam, solids, budget, premises_ok: bool) -> ConditionVerdict:
     sp = lam.space
     if sp.infinity is None:
         g = _genus_report(sp)
@@ -510,19 +510,7 @@ def _check_s4(lam, solids, compacts, opens, budget, premises_ok: bool) -> Condit
             # Genus 0: partition additivity reduces to the complement
             # identity, and the identity implies additivity over every solid
             # partition (superadditivity + complement bookkeeping).
-            for a in solids:
-                comp = sp.x_mask & ~a
-                if lam.value(a) + lam.value(comp) != lam.value(sp.x_mask):
-                    return ConditionVerdict(
-                        "fail", "genus-0 complement identity", len(solids), 0,
-                        {
-                            "solid": _cells(a),
-                            "value": format_value(lam.value(a)),
-                            "complement_value": format_value(lam.value(comp)),
-                            "total": format_value(lam.value(sp.x_mask)),
-                        },
-                    )
-            return ConditionVerdict("pass", "genus-0 complement identity", len(solids))
+            return _complement_identity(lam, solids)
         # Nonzero genus: enumerate partitions of every solid target directly.
         return _s4_by_enumeration(lam, solids, budget, include_x=True)
     # Noncompact space.
@@ -532,6 +520,25 @@ def _check_s4(lam, solids, compacts, opens, budget, premises_ok: bool) -> Condit
             "pass", "compactification genus 0: only trivial partitions", len(solids)
         )
     return _s4_by_enumeration(lam, solids, budget, include_x=False)
+
+
+def _complement_identity(lam, solids) -> ConditionVerdict:
+    """λ(A) + λ(X \\ A) = λ(X) for every solid A of a compact space."""
+    sp = lam.space
+    total = lam.value(sp.x_mask)
+    for a in solids:
+        comp = sp.x_mask & ~a
+        if lam.value(a) + lam.value(comp) != total:
+            return ConditionVerdict(
+                "fail", "genus-0 complement identity", len(solids), 0,
+                {
+                    "solid": _cells(a),
+                    "value": format_value(lam.value(a)),
+                    "complement_value": format_value(lam.value(comp)),
+                    "total": format_value(total),
+                },
+            )
+    return ConditionVerdict("pass", "genus-0 complement identity", len(solids))
 
 
 def _s4_by_enumeration(lam, solids, budget, include_x: bool) -> ConditionVerdict:
@@ -565,7 +572,7 @@ def _s4_by_enumeration(lam, solids, budget, include_x: bool) -> ConditionVerdict
     return ConditionVerdict("pass", "partition enumeration", checked)
 
 
-def _check_ssfc(lam, solids, compacts, opens, budget) -> dict[str, ConditionVerdict]:
+def _check_ssfc(lam, solids, s2: ConditionVerdict, budget) -> dict[str, ConditionVerdict]:
     """The compact-space axiom set: superadditivity against λ(X), inner
     regularity, and additivity over irreducible partitions of X."""
     sp = lam.space
@@ -575,46 +582,12 @@ def _check_ssfc(lam, solids, compacts, opens, budget) -> dict[str, ConditionVerd
         lam, [sp.x_mask], positives, budget.max_family, budget.work_cap
     )
     # On a compact space every open set is bounded, so the inner-regularity
-    # sweep of (s2) covers this condition verbatim.
-    bad = None
-    for u in opens:
-        best = Fraction(0)
-        for c in compacts:
-            if not c & ~u:
-                v = lam.value(c)
-                if v > best:
-                    best = v
-        if best != lam.value(u):
-            bad = {
-                "open": _cells(u),
-                "value": format_value(lam.value(u)),
-                "sup_over_compacts": format_value(best),
-            }
-            break
-    out["ssfC2"] = (
-        ConditionVerdict("pass", "literal sup sweep", len(opens))
-        if bad is None
-        else ConditionVerdict("fail", "literal sup sweep", len(opens), 0, bad)
-    )
+    # sweep of (s2) is this condition verbatim.
+    out["ssfC2"] = s2
 
     g = _genus_report(sp)
     if g.exact and g.genus == 0:
-        bad = None
-        for a in solids:
-            comp = sp.x_mask & ~a
-            if lam.value(a) + lam.value(comp) != lam.value(sp.x_mask):
-                bad = {
-                    "solid": _cells(a),
-                    "value": format_value(lam.value(a)),
-                    "complement_value": format_value(lam.value(comp)),
-                    "total": format_value(lam.value(sp.x_mask)),
-                }
-                break
-        out["ssfC3"] = (
-            ConditionVerdict("pass", "genus-0 complement identity", len(solids))
-            if bad is None
-            else ConditionVerdict("fail", "genus-0 complement identity", len(solids), 0, bad)
-        )
+        out["ssfC3"] = _complement_identity(lam, solids)
         return out
     checked = 0
     try:

@@ -115,6 +115,27 @@ def test_bounded_solid_stream_is_exact_and_budgeted():
         downset_catalog(build_sphere(2), cap=5)
 
 
+@pytest.mark.parametrize(
+    "catalog",
+    [downset_catalog, upset_catalog, compact_solid_catalog,
+     bounded_open_solid_catalog, bounded_solid_catalog],
+    ids=lambda f: f.__name__,
+)
+def test_catalog_cache_is_shared_across_caps(catalog):
+    sp = build_sphere(2)
+    full = catalog(sp)
+    n = len(downset_catalog(sp))
+    assert catalog(sp, 200_000) is full
+    assert catalog(sp, n) is full
+    message = f"down-set catalog of {sp.name} exceeds cap {n - 1}"
+    with pytest.raises(BudgetExceeded, match=message):
+        catalog(sp, n - 1)
+    # a capped first request caches the complete list for uncapped callers
+    fresh = build_sphere(2)
+    assert catalog(fresh, n) == full
+    assert catalog(fresh) is catalog(fresh, n)
+
+
 @pytest.mark.parametrize("sp", TINY, ids=lambda s: s.name)
 def test_open_minus_compact_decomposition(sp: FiniteSpace):
     opens = upset_catalog(sp)
