@@ -33,7 +33,7 @@ from .space import (
     load_space,
     parse_region_literal,
 )
-from .ssf import SsfBudget, make_from_descriptor, validate_ssf
+from .ssf import make_from_descriptor, validate_ssf
 from .values import format_value, parse_value
 
 EXIT_OK = 0
@@ -134,8 +134,7 @@ def cmd_list_spaces(args) -> int:
 def cmd_validate_ssf(args) -> int:
     sp = resolve_space(args.space)
     lam = make_from_descriptor(sp, args.ssf)
-    budget = SsfBudget(catalog_cap=args.budget)
-    rep = validate_ssf(lam, budget)
+    rep = validate_ssf(lam, catalog_cap=args.budget)
     _emit(rep.to_json(), args,
           f"validate-ssf {lam.kind} on {sp.name}: "
           f"{'pass' if rep.passed else 'FAIL'}"
@@ -220,6 +219,8 @@ def cmd_genus(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    if args.limit < 1:
+        raise UsageError(f"--limit must be at least 1; got {args.limit}")
     sp = resolve_space(args.space)
     target = (
         Region(sp, sp.x_mask)

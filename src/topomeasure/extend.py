@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import lcm
 from typing import Callable, Optional
 
 from .space import FiniteSpace, Region, RegionError
@@ -39,7 +37,15 @@ from .solid import (
     hull_mask,
     upset_catalog,
 )
-from .ssf import ConditionVerdict, SolidSetFunction, _cells
+from .ssf import (
+    ConditionVerdict,
+    SolidSetFunction,
+    _cells,
+    _Columns,
+    _first_bad_row,
+    _first_failure,
+    _ValueTable,
+)
 from .values import INF, Value, format_value, is_inf, vadd, vsum
 
 
@@ -109,22 +115,6 @@ def mu_closed_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     if not sp.is_closed_mask(mask):
         raise RegionError("mu_closed requires a closed region")
     return mu_open_mask(lam, sp.up_closure_mask(mask))
-
-
-def lambda1(lam: SolidSetFunction, a: Region) -> Fraction:
-    return lambda1_mask(lam, a.cells)
-
-
-def lambda2(lam: SolidSetFunction, k: Region) -> Fraction:
-    return lambda2_mask(lam, k.cells)
-
-
-def mu_open(lam: SolidSetFunction, u: Region) -> Fraction:
-    return mu_open_mask(lam, u.cells)
-
-
-def mu_closed(lam: SolidSetFunction, f: Region) -> Fraction:
-    return mu_closed_mask(lam, f.cells)
 
 
 # ----- compact path ----------------------------------------------------------
@@ -198,10 +188,6 @@ def grubb_mu_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     if sp.is_closed_mask(mask):
         return lam.value(sp.x_mask) - grubb_mu_mask(lam, sp.x_mask & ~mask)
     raise RegionError("grubb_mu requires an open or closed region")
-
-
-def grubb_mu(lam: SolidSetFunction, a: Region) -> Fraction:
-    return grubb_mu_mask(lam, a.cells)
 
 
 # ----- measure objects --------------------------------------------------------
@@ -361,87 +347,6 @@ def _pair_witness(a: int, b: int, lhs: Value, rhs: Value, extra: str = "") -> di
     return w
 
 
-class _ValueTable:
-    """μ on every closed and open set as exact ints: finite values times the
-    LCM ``den`` of their denominators, and ``INF`` as the sentinel ``top``.
-
-    With M the largest finite magnitude, a sum of two finite entries lies in
-    [-2M, 2M] and a sum with a ``top`` term exceeds 2M, so :meth:`add`
-    saturates exactly the sums that ``vadd`` makes infinite, and the map
-    keeps both the equality and the order of :data:`Value`.
-    """
-
-    def __init__(self, mu: Callable[[int], Value], masks):
-        self.mu = mu
-        values = {m: mu(m) for m in masks}
-        finite = {m: v for m, v in values.items() if not is_inf(v)}
-        self.den = lcm(*(v.denominator for v in finite.values()))
-        scaled = {m: v.numerator * (self.den // v.denominator) for m, v in finite.items()}
-        bound = max(map(abs, scaled.values()), default=0)
-        self.lim, self.top = 2 * bound, 3 * bound + 1
-        self.t = {m: scaled.get(m, self.top) for m in values}
-
-    def add(self, x: int, y: int) -> int:
-        s = x + y
-        return s if s <= self.lim else self.top
-
-    def value(self, x: int) -> Value:
-        return INF if x > self.lim else Fraction(x, self.den)
-
-
-# Maps the digits of ``bin`` to the 0/1 bytes that ``compress`` selects by.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-class _Columns:
-    """A catalog indexed by cell: bit j of ``has[c]`` is set when member j
-    contains cell c, so a sweep row selects the members disjoint from it with
-    one big-int operation per cell of the row instead of one test per member
-    (on the shipped spaces most rows keep under one member in a hundred)."""
-
-    def __init__(self, masks: list[int], cell_count: int):
-        self.masks = masks
-        self.all = (1 << len(masks)) - 1
-        rev = masks[::-1]
-        self.has = [
-            int("0" + "".join(["01"[m >> c & 1] for m in rev]), 2)
-            for c in range(cell_count)
-        ]
-
-    def disjoint_from(self, a: int, start: int = 0) -> list[int]:
-        """Members disjoint from ``a``, from position ``start`` on, in order."""
-        has, hit = self.has, 0
-        while a:
-            low = a & -a
-            hit |= has[low.bit_length() - 1]
-            a ^= low
-        keep = bin(self.all >> start << start & ~hit)[:1:-1].encode().translate(_BITS)
-        return list(compress(self.masks, keep))
-
-
-def _first_failure(method: str, rows, witness) -> ConditionVerdict:
-    """Verdict of a pair sweep, row by row.  ``rows`` yields ``(a, kept,
-    bad)``: the row's columns that pass the sweep's filter, in sweep order,
-    and those of them that fail its check.  ``checked`` counts the filtered
-    pairs up to and including the first failure."""
-    checked = 0
-    for a, kept, bad in rows:
-        if bad:
-            b = bad[0]
-            return ConditionVerdict(
-                "fail", method, checked + kept.index(b) + 1, 0, witness(a, b)
-            )
-        checked += len(kept)
-    return ConditionVerdict("pass", method, checked)
-
-
-def _first_bad_row(method: str, checked: int, witnesses) -> ConditionVerdict:
-    """Verdict of a sweep that checks each catalog member once; ``witnesses``
-    yields a counterexample per failing member."""
-    bad = next(witnesses, None)
-    return ConditionVerdict("pass" if bad is None else "fail", method, checked, 0, bad)
-
-
 def _additivity_sweep(
     vt: _ValueTable, method: str, cols: _Columns, rows=None, member=None
 ) -> ConditionVerdict:
@@ -527,12 +432,10 @@ def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
         "literal sup over compact subsets", len(opens), inner_gaps()
     )
 
-    # TM3: outer regularity on closeds (X is always an open superset).  The
-    # open supersets of F are the complements of the closed sets disjoint
-    # from F.
+    # TM3: outer regularity on closeds (X is always an open superset).
     def outer_gaps():
         for f in closeds:
-            best = min([t[xm ^ c] for c in closed_cols.disjoint_from(f)], default=vt.top)
+            best = min(t[u] for u in open_cols.containing(f))
             if best != t[f]:
                 yield {"closed": _cells(f), "inf": format_value(vt.value(best)),
                        "value": format_value(mu(f))}
@@ -567,11 +470,10 @@ def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
 
     # Wheeler-style conditions (compact spaces only).
     if sp.infinity is None:
-        # (w1) monotone on closed sets: the closed supersets of C are the
-        # complements of the open sets disjoint from C.
+        # (w1) monotone on closed sets.
         def nestings():
             for c in closeds:
-                tc, kept = t[c], sorted(xm ^ u for u in open_cols.disjoint_from(c))
+                tc, kept = t[c], closed_cols.containing(c)
                 yield c, kept, [k for k in kept if t[k] < tc]
 
         conditions["wheeler_monotone_closed"] = _first_failure(

@@ -41,7 +41,7 @@ class SolidClass:
     unbounded_complement_count: int
 
 
-def _solid_mask(sp: FiniteSpace, mask: int) -> bool:
+def is_solid_mask(sp: FiniteSpace, mask: int) -> bool:
     if not sp.connected(mask):
         return False
     comp = sp.x_mask & ~mask
@@ -76,10 +76,6 @@ def classify(r: Region) -> SolidClass:
         complement_component_count=len(comp_masks),
         unbounded_complement_count=unbounded,
     )
-
-
-def is_solid_mask(sp: FiniteSpace, mask: int) -> bool:
-    return _solid_mask(sp, mask)
 
 
 def hull_mask(sp: FiniteSpace, mask: int) -> int:
@@ -209,7 +205,7 @@ def compact_solid_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> list[in
     hit = sp._cache.get("compact-solid")
     if hit is None:
         hit = sp._cache["compact-solid"] = [
-            m for m in downsets if sp.is_bounded_mask(m) and _solid_mask(sp, m)
+            m for m in downsets if sp.is_bounded_mask(m) and is_solid_mask(sp, m)
         ]
     return hit
 
@@ -219,7 +215,7 @@ def bounded_open_solid_catalog(sp: FiniteSpace, cap: Optional[int] = None) -> li
     hit = sp._cache.get("open-solid-bounded")
     if hit is None:
         hit = sp._cache["open-solid-bounded"] = [
-            m for m in upsets if sp.is_bounded_mask(m) and _solid_mask(sp, m)
+            m for m in upsets if sp.is_bounded_mask(m) and is_solid_mask(sp, m)
         ]
     return hit
 

@@ -304,50 +304,6 @@ def region(space: FiniteSpace, cells: Iterable[int]) -> Region:
     return Region(space, mask)
 
 
-def region_from_mask(space: FiniteSpace, mask: int) -> Region:
-    return Region(space, mask)
-
-
-# ----- public topology operations ----------------------------------------
-
-
-def closure(r: Region) -> Region:
-    return Region(r.space, r.space.closure_mask(r.cells))
-
-
-def interior(r: Region) -> Region:
-    return Region(r.space, r.space.interior_mask(r.cells))
-
-
-def is_open(r: Region) -> bool:
-    return r.space.is_open_mask(r.cells)
-
-
-def is_closed(r: Region) -> bool:
-    return r.space.is_closed_mask(r.cells)
-
-
-def is_bounded(r: Region) -> bool:
-    return r.space.is_bounded_mask(r.cells)
-
-
-def is_compact(r: Region) -> bool:
-    return r.space.is_compact_mask(r.cells)
-
-
-def components(r: Region) -> list[Region]:
-    return [Region(r.space, m) for m in r.space.components_masks(r.cells)]
-
-
-def complement_components(r: Region) -> list[tuple[Region, bool]]:
-    """Components of ``X \\ R`` tagged with their boundedness flag."""
-    sp = r.space
-    out = []
-    for m in sp.components_masks(sp.x_mask & ~r.cells):
-        out.append((Region(sp, m), sp.is_bounded_mask(m)))
-    return out
-
-
 # ----- text format ---------------------------------------------------------
 
 

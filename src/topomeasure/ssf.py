@@ -19,8 +19,10 @@ checks both routes and reports them side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 from typing import Callable, Optional
 
 from .space import FiniteSpace, Region, RegionError, parse_region_literal
@@ -32,14 +34,12 @@ from .solid import (
     is_solid_mask,
 )
 from .partition import enumerate_solid_partitions, genus, hatX_genus0_check, is_irreducible
-from .values import format_value
+from .values import INF, Value, format_value, is_inf, parse_fraction
 
-
-@dataclass(frozen=True)
-class SsfBudget:
-    catalog_cap: int = 200_000
-    work_cap: int = 5_000_000
-    max_family: int = 4
+# Work bound of the (s1)/ssfC1 family sweep and of each partition
+# enumeration, and the largest family (half the largest partition) they try.
+_WORK_CAP = 5_000_000
+_MAX_FAMILY = 4
 
 
 class SolidSetFunction:
@@ -277,7 +277,12 @@ def _parse_weights(sp: FiniteSpace, token: str) -> dict[int, Fraction]:
         if ":" not in pair:
             raise ValueError(f"weight entry {pair!r} must look like cell:value")
         cell, val = pair.split(":", 1)
-        out[int(cell)] = Fraction(val)
+        c = int(cell)
+        if not (0 <= c < sp.cell_count) or c == sp.infinity:
+            raise ValueError(f"weight cell {c} is not a cell of X")
+        if c in out:
+            raise ValueError(f"weight cell {c} is given more than once")
+        out[c] = parse_fraction(val)
     return out
 
 
@@ -309,7 +314,7 @@ def make_from_descriptor(sp: FiniteSpace, descriptor: str) -> SolidSetFunction:
             )
         if kind == "threshold":
             w = _parse_weights(sp, args.get("w", "@uniform"))
-            return make_threshold(sp, w, Fraction(args.get("t", "1")))
+            return make_threshold(sp, w, parse_fraction(args.get("t", "1")))
         if kind == "measure":
             w = _parse_weights(sp, args.get("w", "@uniform"))
             return make_restricted_measure(sp, w)
@@ -318,7 +323,9 @@ def make_from_descriptor(sp: FiniteSpace, descriptor: str) -> SolidSetFunction:
     raise ValueError(f"unknown solid-set-function family {kind!r}")
 
 
-# ----- validator ----------------------------------------------------------------
+
+
+# ----- sweep primitives (shared with the measure validator) ---------------------
 
 
 @dataclass(frozen=True)
@@ -328,6 +335,106 @@ class ConditionVerdict:
     checked: int = 0
     vacuous: int = 0
     counterexample: Optional[dict] = None
+
+
+def _cells(mask: int) -> list[int]:
+    return sorted(FiniteSpace.cells_of(mask))
+
+
+class _ValueTable:
+    """A set function on a catalog as exact ints: finite values times the
+    LCM ``den`` of their denominators, and ``INF`` as the sentinel ``top``.
+
+    With M the largest finite magnitude, a sum of two finite entries lies in
+    [-2M, 2M] and a sum with a ``top`` term exceeds 2M, so :meth:`add`
+    saturates exactly the sums that ``vadd`` makes infinite, and the map
+    keeps both the equality and the order of :data:`Value`.
+    """
+
+    def __init__(self, mu: Callable[[int], Value], masks):
+        self.mu = mu
+        values = {m: mu(m) for m in masks}
+        finite = {m: v for m, v in values.items() if not is_inf(v)}
+        self.den = lcm(*(v.denominator for v in finite.values()))
+        scaled = {m: v.numerator * (self.den // v.denominator) for m, v in finite.items()}
+        bound = max(map(abs, scaled.values()), default=0)
+        self.lim, self.top = 2 * bound, 3 * bound + 1
+        self.t = {m: scaled.get(m, self.top) for m in values}
+
+    def add(self, x: int, y: int) -> int:
+        s = x + y
+        return s if s <= self.lim else self.top
+
+    def value(self, x: int) -> Value:
+        return INF if x > self.lim else Fraction(x, self.den)
+
+
+# Maps the digits of ``bin`` to the 0/1 bytes that ``compress`` selects by.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _Columns:
+    """A catalog indexed by cell: bit j of ``has[c]`` is set when member j
+    contains cell c, so a sweep row selects the members disjoint from it (or
+    containing it) with one big-int operation per cell of the row instead
+    of one test per member (on the shipped spaces most rows keep under one
+    member in a hundred)."""
+
+    def __init__(self, masks: list[int], cell_count: int):
+        self.masks = masks
+        self.all = (1 << len(masks)) - 1
+        rev = masks[::-1]
+        self.has = [
+            int("0" + "".join(["01"[m >> c & 1] for m in rev]), 2)
+            for c in range(cell_count)
+        ]
+
+    def _select(self, bits: int) -> list[int]:
+        return list(compress(self.masks, bin(bits)[:1:-1].encode().translate(_BITS)))
+
+    def disjoint_from(self, a: int, start: int = 0) -> list[int]:
+        """Members disjoint from ``a``, from position ``start`` on, in order."""
+        has, hit = self.has, 0
+        while a:
+            low = a & -a
+            hit |= has[low.bit_length() - 1]
+            a ^= low
+        return self._select(self.all >> start << start & ~hit)
+
+    def containing(self, a: int) -> list[int]:
+        """Members that contain ``a``, in order."""
+        has, bits = self.has, self.all
+        while a:
+            low = a & -a
+            bits &= has[low.bit_length() - 1]
+            a ^= low
+        return self._select(bits)
+
+
+def _first_failure(method: str, rows, witness) -> ConditionVerdict:
+    """Verdict of a pair sweep, row by row.  ``rows`` yields ``(a, kept,
+    bad)``: the row's columns that pass the sweep's filter, in sweep order,
+    and those of them that fail its check.  ``checked`` counts the filtered
+    pairs up to and including the first failure."""
+    checked = 0
+    for a, kept, bad in rows:
+        if bad:
+            b = bad[0]
+            return ConditionVerdict(
+                "fail", method, checked + kept.index(b) + 1, 0, witness(a, b)
+            )
+        checked += len(kept)
+    return ConditionVerdict("pass", method, checked)
+
+
+def _first_bad_row(method: str, checked: int, witnesses) -> ConditionVerdict:
+    """Verdict of a sweep that checks each catalog member once; ``witnesses``
+    yields a counterexample per failing member."""
+    bad = next(witnesses, None)
+    return ConditionVerdict("pass" if bad is None else "fail", method, checked, 0, bad)
+
+
+# ----- validator ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -361,125 +468,102 @@ class SsfValidationReport:
         return out
 
 
-def _cells(mask: int) -> list[int]:
-    return sorted(FiniteSpace.cells_of(mask))
-
-
 def _superadditivity_sweep(
-    lam: SolidSetFunction,
-    containers: list[int],
-    candidates: list[tuple[int, Fraction]],
-    max_family: int,
-    work_cap: int,
+    vt: _ValueTable, xm: int, containers: list[int], candidates: _Columns
 ) -> ConditionVerdict:
     """Σλ over disjoint families of positive-λ candidates inside each
     container must not exceed the container's λ.  Zero-λ candidates are
     omitted soundly: they never increase a family's sum."""
+    t = vt.t
+    method = "positive-candidate family sweep"
     work = 0
     checked = 0
     for cmask in containers:
-        target = lam.value(cmask)
-        inside = [(m, v) for m, v in candidates if not m & ~cmask]
+        target = t[cmask]
+        inside = candidates.disjoint_from(xm & ~cmask)
 
-        stack = [(0, 0, Fraction(0), ())]
+        stack = [(0, 0, 0, ())]
         while stack:
             start, used, total, fam = stack.pop()
             if fam:
                 checked += 1
                 if total > target:
                     return ConditionVerdict(
-                        "fail", "positive-candidate family sweep", checked, 0,
+                        "fail", method, checked, 0,
                         {
                             "container": _cells(cmask),
-                            "container_value": format_value(target),
+                            "container_value": format_value(vt.mu(cmask)),
                             "family": [_cells(m) for m in fam],
-                            "family_sum": format_value(total),
+                            "family_sum": format_value(Fraction(total, vt.den)),
                         },
                     )
-            if len(fam) >= max_family:
+            if len(fam) >= _MAX_FAMILY:
                 continue
             for i in range(start, len(inside)):
-                m, v = inside[i]
+                m = inside[i]
                 work += 1
-                if work > work_cap:
+                if work > _WORK_CAP:
                     return ConditionVerdict(
-                        "unknown", "positive-candidate family sweep", checked, 0,
-                        {"reason": f"work cap {work_cap} exhausted"},
+                        "unknown", method, checked, 0,
+                        {"reason": f"work cap {_WORK_CAP} exhausted"},
                     )
                 if m & used:
                     continue
-                stack.append((i + 1, used | m, total + v, fam + (m,)))
-    return ConditionVerdict("pass", "positive-candidate family sweep", checked)
+                stack.append((i + 1, used | m, total + t[m], fam + (m,)))
+    return ConditionVerdict("pass", method, checked)
 
 
-def validate_ssf(lam: SolidSetFunction, budget: SsfBudget = SsfBudget()) -> SsfValidationReport:
+def validate_ssf(lam: SolidSetFunction, catalog_cap: int = 200_000) -> SsfValidationReport:
     sp = lam.space
     conditions: dict[str, ConditionVerdict] = {}
     try:
-        compacts = compact_solid_catalog(sp, budget.catalog_cap)
-        opens = bounded_open_solid_catalog(sp, budget.catalog_cap)
-        solids = bounded_solid_catalog(sp, budget.catalog_cap)
+        compacts = compact_solid_catalog(sp, catalog_cap)
+        opens = bounded_open_solid_catalog(sp, catalog_cap)
+        solids = bounded_solid_catalog(sp, catalog_cap)
     except BudgetExceeded as exc:
         note = {"reason": str(exc)}
         for name in ("s1", "s2", "s3", "s4"):
             conditions[name] = ConditionVerdict("unknown", "catalog enumeration", 0, 0, note)
         return SsfValidationReport(sp.name, lam.kind, conditions)
 
-    positives = [(m, lam.value(m)) for m in compacts if lam.value(m) > 0]
+    # λ once on every bounded solid; on a compact space X is one of them.
+    vt = _ValueTable(lam.value, solids)
+    t, xm = vt.t, sp.x_mask
+    compact_cols = _Columns(compacts, sp.cell_count)
 
     # (s1) superadditivity inside compact solids.
-    conditions["s1"] = _superadditivity_sweep(
-        lam, compacts, positives, budget.max_family, budget.work_cap
-    )
+    positives = _Columns([m for m in compacts if t[m] > 0], sp.cell_count)
+    conditions["s1"] = _superadditivity_sweep(vt, xm, compacts, positives)
 
     # (s2) inner regularity on bounded open solids.
-    verdict = ConditionVerdict("pass", "literal sup sweep", len(opens))
-    for u in opens:
-        best = Fraction(0)
-        for c in compacts:
-            if not c & ~u:
-                v = lam.value(c)
-                if v > best:
-                    best = v
-        if best != lam.value(u):
-            verdict = ConditionVerdict(
-                "fail", "literal sup sweep", len(opens), 0,
-                {
-                    "open": _cells(u),
-                    "value": format_value(lam.value(u)),
-                    "sup_over_compacts": format_value(best),
-                },
-            )
-            break
-    conditions["s2"] = verdict
+    def inner_gaps():
+        for u in opens:
+            best = max([0] + [t[k] for k in compact_cols.disjoint_from(xm & ~u)])
+            if best != t[u]:
+                yield {"open": _cells(u), "value": format_value(lam.value(u)),
+                       "sup_over_compacts": format_value(vt.value(best))}
+
+    conditions["s2"] = _first_bad_row("literal sup sweep", len(opens), inner_gaps())
 
     # (s3) outer regularity on compact solids; supersets may not exist on
     # coarse noncompact models, in which case the instance is vacuous.
+    open_cols = _Columns(opens, sp.cell_count)
     vacuous = 0
-    verdict = ConditionVerdict("pass", "literal inf sweep", len(compacts))
-    for c in compacts:
-        best: Optional[Fraction] = None
-        for u in opens:
-            if not c & ~u:
-                v = lam.value(u)
-                if best is None or v < best:
-                    best = v
-        if best is None:
-            vacuous += 1
-            continue
-        if best != lam.value(c):
-            verdict = ConditionVerdict(
-                "fail", "literal inf sweep", len(compacts), vacuous,
-                {
-                    "compact": _cells(c),
-                    "value": format_value(lam.value(c)),
-                    "inf_over_opens": format_value(best),
-                },
-            )
-            break
-    if verdict.verdict == "pass":
-        verdict = ConditionVerdict("pass", "literal inf sweep", len(compacts), vacuous)
-    conditions["s3"] = verdict
+
+    def outer_gaps():
+        nonlocal vacuous
+        for c in compacts:
+            above = open_cols.containing(c)
+            if not above:
+                vacuous += 1
+                continue
+            best = min(t[u] for u in above)
+            if best != t[c]:
+                yield {"compact": _cells(c), "value": format_value(lam.value(c)),
+                       "inf_over_opens": format_value(vt.value(best))}
+
+    verdict = _first_bad_row("literal inf sweep", len(compacts), outer_gaps())
+    conditions["s3"] = replace(verdict, vacuous=vacuous)
 
     # (s4) solid-partition additivity.  The genus-0 shortcut derives (s4)
     # from the complement identity together with (s1)/(s2); it is only used
@@ -487,11 +571,11 @@ def validate_ssf(lam: SolidSetFunction, budget: SsfBudget = SsfBudget()) -> SsfV
     premises_ok = (
         conditions["s1"].verdict == "pass" and conditions["s2"].verdict == "pass"
     )
-    conditions["s4"] = _check_s4(lam, solids, budget, premises_ok)
+    conditions["s4"] = _check_s4(sp, vt, solids, premises_ok)
 
     # Compact spaces: the alternative axiom route, reported side by side.
     if sp.infinity is None:
-        conditions.update(_check_ssfc(lam, solids, conditions["s2"], budget))
+        conditions.update(_check_ssfc(sp, vt, solids, conditions["s2"]))
     return SsfValidationReport(sp.name, lam.kind, conditions)
 
 
@@ -502,115 +586,92 @@ def _genus_report(sp: FiniteSpace):
     return sp._cache[key]
 
 
-def _check_s4(lam, solids, budget, premises_ok: bool) -> ConditionVerdict:
-    sp = lam.space
+def _check_s4(sp, vt, solids, premises_ok: bool) -> ConditionVerdict:
     if sp.infinity is None:
         g = _genus_report(sp)
         if g.exact and g.genus == 0 and premises_ok:
             # Genus 0: partition additivity reduces to the complement
             # identity, and the identity implies additivity over every solid
             # partition (superadditivity + complement bookkeeping).
-            return _complement_identity(lam, solids)
-        # Nonzero genus: enumerate partitions of every solid target directly.
-        return _s4_by_enumeration(lam, solids, budget, include_x=True)
-    # Noncompact space.
-    if hatX_genus0_check(sp):
+            return _complement_identity(sp, vt, solids)
+    elif hatX_genus0_check(sp):
         # Only trivial partitions exist, so additivity is automatic.
         return ConditionVerdict(
             "pass", "compactification genus 0: only trivial partitions", len(solids)
         )
-    return _s4_by_enumeration(lam, solids, budget, include_x=False)
+    # Otherwise enumerate the partitions of every nonempty solid (X among
+    # them on a compact space) directly.
+    return _partition_sweep(
+        sp, "partition enumeration", vt, [m for m in solids if m], None,
+        lambda target, parts, total: {
+            "target": _cells(target),
+            "target_value": format_value(vt.mu(target)),
+            "parts": [_cells(m) for m in parts],
+            "parts_sum": format_value(Fraction(total, vt.den)),
+        },
+    )
 
 
-def _complement_identity(lam, solids) -> ConditionVerdict:
-    """λ(A) + λ(X \\ A) = λ(X) for every solid A of a compact space."""
-    sp = lam.space
-    total = lam.value(sp.x_mask)
-    for a in solids:
-        comp = sp.x_mask & ~a
-        if lam.value(a) + lam.value(comp) != total:
-            return ConditionVerdict(
-                "fail", "genus-0 complement identity", len(solids), 0,
-                {
-                    "solid": _cells(a),
-                    "value": format_value(lam.value(a)),
-                    "complement_value": format_value(lam.value(comp)),
-                    "total": format_value(total),
-                },
-            )
-    return ConditionVerdict("pass", "genus-0 complement identity", len(solids))
+def _complement_identity(sp, vt, solids) -> ConditionVerdict:
+    """λ(A) + λ(X \\ A) = λ(X) for every solid A of a compact space (X \\ A
+    is then a solid too)."""
+    t, xm, lam = vt.t, sp.x_mask, vt.mu
+    return _first_bad_row(
+        "genus-0 complement identity", len(solids),
+        (
+            {"solid": _cells(a), "value": format_value(lam(a)),
+             "complement_value": format_value(lam(xm ^ a)),
+             "total": format_value(lam(xm))}
+            for a in solids if t[a] + t[xm ^ a] != t[xm]
+        ),
+    )
 
 
-def _s4_by_enumeration(lam, solids, budget, include_x: bool) -> ConditionVerdict:
-    sp = lam.space
-    targets = [m for m in solids if m]
-    if include_x and sp.x_mask not in targets:
-        targets.append(sp.x_mask)
+def _partition_sweep(sp, method, vt, targets, keep, witness) -> ConditionVerdict:
+    """λ(T) = Σλ over the parts of every solid partition of each target T
+    that ``keep`` accepts (every one when ``keep`` is None); ``checked``
+    counts the accepted partitions up to and including the first failure."""
+    t = vt.t
     checked = 0
     try:
-        for t in targets:
-            target_value = lam.value(t)
+        for target in targets:
             for p in enumerate_solid_partitions(
-                Region(sp, t), max_parts=budget.max_family * 2, budget=budget.work_cap
+                Region(sp, target), max_parts=2 * _MAX_FAMILY, budget=_WORK_CAP
             ):
+                if keep is not None and not keep(p):
+                    continue
                 checked += 1
-                total = sum((lam.value(m) for m in p.part_masks()), Fraction(0))
-                if total != target_value:
+                parts = p.part_masks()
+                total = sum(t[m] for m in parts)
+                if total != t[target]:
                     return ConditionVerdict(
-                        "fail", "partition enumeration", checked, 0,
-                        {
-                            "target": _cells(t),
-                            "target_value": format_value(target_value),
-                            "parts": [_cells(m) for m in p.part_masks()],
-                            "parts_sum": format_value(total),
-                        },
+                        "fail", method, checked, 0, witness(target, parts, total)
                     )
     except BudgetExceeded as exc:
-        return ConditionVerdict(
-            "unknown", "partition enumeration", checked, 0, {"reason": str(exc)}
-        )
-    return ConditionVerdict("pass", "partition enumeration", checked)
+        return ConditionVerdict("unknown", method, checked, 0, {"reason": str(exc)})
+    return ConditionVerdict("pass", method, checked)
 
 
-def _check_ssfc(lam, solids, s2: ConditionVerdict, budget) -> dict[str, ConditionVerdict]:
+def _check_ssfc(sp, vt, solids, s2: ConditionVerdict) -> dict[str, ConditionVerdict]:
     """The compact-space axiom set: superadditivity against λ(X), inner
     regularity, and additivity over irreducible partitions of X."""
-    sp = lam.space
-    out: dict[str, ConditionVerdict] = {}
-    positives = [(m, lam.value(m)) for m in solids if lam.value(m) > 0]
-    out["ssfC1"] = _superadditivity_sweep(
-        lam, [sp.x_mask], positives, budget.max_family, budget.work_cap
-    )
+    xm = sp.x_mask
+    positives = _Columns([m for m in solids if vt.t[m] > 0], sp.cell_count)
+    out = {"ssfC1": _superadditivity_sweep(vt, xm, [xm], positives)}
     # On a compact space every open set is bounded, so the inner-regularity
     # sweep of (s2) is this condition verbatim.
     out["ssfC2"] = s2
 
     g = _genus_report(sp)
     if g.exact and g.genus == 0:
-        out["ssfC3"] = _complement_identity(lam, solids)
+        out["ssfC3"] = _complement_identity(sp, vt, solids)
         return out
-    checked = 0
-    try:
-        for p in enumerate_solid_partitions(
-            Region(sp, sp.x_mask), max_parts=budget.max_family * 2, budget=budget.work_cap
-        ):
-            if not is_irreducible(p):
-                continue
-            checked += 1
-            total = sum((lam.value(m) for m in p.part_masks()), Fraction(0))
-            if total != lam.value(sp.x_mask):
-                out["ssfC3"] = ConditionVerdict(
-                    "fail", "irreducible partition enumeration", checked, 0,
-                    {
-                        "parts": [_cells(m) for m in p.part_masks()],
-                        "parts_sum": format_value(total),
-                        "total": format_value(lam.value(sp.x_mask)),
-                    },
-                )
-                return out
-        out["ssfC3"] = ConditionVerdict("pass", "irreducible partition enumeration", checked)
-    except BudgetExceeded as exc:
-        out["ssfC3"] = ConditionVerdict(
-            "unknown", "irreducible partition enumeration", checked, 0, {"reason": str(exc)}
-        )
+    out["ssfC3"] = _partition_sweep(
+        sp, "irreducible partition enumeration", vt, [xm], is_irreducible,
+        lambda _, parts, total: {
+            "parts": [_cells(m) for m in parts],
+            "parts_sum": format_value(Fraction(total, vt.den)),
+            "total": format_value(vt.mu(xm)),
+        },
+    )
     return out

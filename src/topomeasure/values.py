@@ -102,9 +102,18 @@ def format_value(v: Value) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def parse_fraction(text: str) -> Fraction:
+    """A rational literal; a zero denominator is a ``ValueError`` like any
+    other malformed literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+
+
 def parse_value(text: str) -> Value:
     """Inverse of :func:`format_value`."""
     text = text.strip()
     if text == "inf":
         return INF
-    return Fraction(text)
+    return parse_fraction(text)

@@ -187,3 +187,45 @@ def test_seed_never_affects_results(capsys):
         )
         results.append(out)
     assert results[0] == results[1]
+
+
+# Malformed weight and value literals exit 2 with an ``error:`` line, never
+# with a silent default or a traceback.
+MALFORMED = {
+    "weight cell out of range": (
+        "eval", "--space", "disk(4)", "--ssf", "measure w=999:1", "--region", "@all"),
+    "weight on the infinity cell": (
+        "eval", "--space", "punctured_disk(4)", "--ssf", "measure w=0:5", "--region", "@all"),
+    "repeated weight cell": (
+        "eval", "--space", "disk(4)", "--ssf", "measure w=5:1,5:2", "--region", "@all"),
+    "negative weight cell": (
+        "eval", "--space", "disk(4)", "--ssf", "measure w=-1:1", "--region", "@all"),
+    "zero weight denominator": (
+        "eval", "--space", "disk(4)", "--ssf", "measure w=1:2/0", "--region", "@all"),
+    "zero threshold denominator": (
+        "eval", "--space", "disk(4)", "--ssf", "threshold t=1/0", "--region", "@all"),
+    "zero constant denominator": (
+        "validate-tm", "--space", "interval(3)", "--constant", "1/0"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_literals_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "shift" not in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_partitions_limit_below_one_is_usage_error(capsys, limit):
+    code, out, err = run(
+        capsys, "partitions", "--space", "line_window(4)", "--region", "1,2,5",
+        "--limit", limit,
+    )
+    assert code == 2 and out == "" and "--limit" in err
+    code, out, _ = run(
+        capsys, "partitions", "--space", "line_window(4)", "--region", "1,2,5",
+        "--limit", "1",
+    )
+    assert code == 0 and json.loads(out)["count_listed"] == 1
