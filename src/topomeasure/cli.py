@@ -221,6 +221,8 @@ def cmd_genus(args) -> int:
 def cmd_partitions(args) -> int:
     if args.limit < 1:
         raise UsageError(f"--limit must be at least 1; got {args.limit}")
+    if args.max_parts < 1:
+        raise UsageError(f"--max-parts must be at least 1; got {args.max_parts}")
     sp = resolve_space(args.space)
     target = (
         Region(sp, sp.x_mask)

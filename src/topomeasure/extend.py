@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
+from weakref import WeakKeyDictionary
 
 from .space import FiniteSpace, Region, RegionError
 from .solid import (
@@ -45,6 +46,7 @@ from .ssf import (
     _first_bad_row,
     _first_failure,
     _ValueTable,
+    _weight_sum,
 )
 from .values import INF, Value, format_value, is_inf, vadd, vsum
 
@@ -54,10 +56,6 @@ from .values import INF, Value, format_value, is_inf, vadd, vsum
 
 def lambda1_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     sp = lam.space
-    key = ("lambda1", mask)
-    hit = lam._memo.get(key)  # λ₁/λ₂/μ share the per-λ memo table
-    if hit is not None:
-        return hit
     if not sp.connected(mask):
         raise RegionError("lambda1 requires a connected region")
     if not sp.is_bounded_mask(mask):
@@ -68,23 +66,16 @@ def lambda1_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     for m in sp.components_masks(sp.x_mask & ~mask):
         if sp.is_bounded_mask(m):
             total -= lam.value(m)
-    lam._memo[key] = total
     return total
 
 
 def lambda2_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     sp = lam.space
-    key = ("lambda2", mask)
-    hit = lam._memo.get(key)
-    if hit is not None:
-        return hit
     if not sp.is_compact_mask(mask):
         raise RegionError("lambda2 requires a compact region")
-    total = sum(
+    return sum(
         (lambda1_mask(lam, m) for m in sp.components_masks(mask)), Fraction(0)
     )
-    lam._memo[key] = total
-    return total
 
 
 def k_max_mask(sp: FiniteSpace, open_mask: int) -> int:
@@ -99,15 +90,9 @@ def k_max_mask(sp: FiniteSpace, open_mask: int) -> int:
 
 def mu_open_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     sp = lam.space
-    key = ("mu_open", mask)
-    hit = lam._memo.get(key)
-    if hit is not None:
-        return hit
     if not sp.is_open_mask(mask):
         raise RegionError("mu_open requires an open region")
-    total = lambda2_mask(lam, k_max_mask(sp, mask))
-    lam._memo[key] = total
-    return total
+    return lambda2_mask(lam, k_max_mask(sp, mask))
 
 
 def mu_closed_mask(lam: SolidSetFunction, mask: int) -> Fraction:
@@ -119,51 +104,43 @@ def mu_closed_mask(lam: SolidSetFunction, mask: int) -> Fraction:
 
 # ----- compact path ----------------------------------------------------------
 
-
-def _grubb_lambda2c_mask(lam: SolidSetFunction, closed: int) -> Fraction:
-    """λ₂ᶜ: per-component complement-subtraction value of a closed set
-    (the compact-path counterpart of λ₂, sharing no code with it)."""
-    sp = lam.space
-    key = ("grubb-l2", closed)
-    hit = lam._memo.get(key)
-    if hit is not None:
-        return hit
-    total_x = lam.value(sp.x_mask)
-    out = Fraction(0)
-    for comp in sp.components_masks(closed):
-        piece = total_x
-        for m in sp.components_masks(sp.x_mask & ~comp):
-            piece -= lam.value(m)
-        out += piece
-    lam._memo[key] = out
-    return out
+# One compact-path table per solid-set function, dropped with the function.
+_COMPACT_TABLES: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _grubb_lambda2c_monotone(lam: SolidSetFunction) -> bool:
-    """Whether λ₂ᶜ is monotone along every one-cell extension of a closed set.
+def _compact_table(lam: SolidSetFunction) -> tuple[dict[int, Fraction], bool]:
+    """λ₂ᶜ, the per-component complement-subtraction value (the compact-path
+    counterpart of λ₂, sharing no code with it), on every closed set, and
+    whether it is monotone along every one-cell extension of a closed set.
 
     Single-cell extensions connect the whole lattice of closed sets, so
     monotonicity along them certifies global monotonicity, which in turn lets
     the sup over compact subsets of an open set be read off at the maximal
-    one.  Certified once per solid-set function.
+    one.
     """
-    hit = lam._memo.get(("grubb-monotone",))
+    hit = _COMPACT_TABLES.get(lam)
     if hit is not None:
         return hit
     sp = lam.space
-    ok = True
-    for d in downset_catalog(sp):
-        base = _grubb_lambda2c_mask(lam, d)
-        for c in FiniteSpace.cells_of(sp.x_mask & ~d):
-            if sp.down[c] & sp.x_mask & ~d & ~(1 << c):
-                continue  # not a one-cell extension to another closed set
-            if _grubb_lambda2c_mask(lam, d | (1 << c)) < base:
-                ok = False
-                break
-        if not ok:
-            break
-    lam._memo[("grubb-monotone",)] = ok
-    return ok
+    total_x = lam.value(sp.x_mask)
+    table: dict[int, Fraction] = {}
+    for closed in downset_catalog(sp):
+        out = Fraction(0)
+        for comp in sp.components_masks(closed):
+            piece = total_x
+            for m in sp.components_masks(sp.x_mask & ~comp):
+                piece -= lam.value(m)
+            out += piece
+        table[closed] = out
+    monotone = all(
+        table[d | (1 << c)] >= base
+        for d, base in table.items()
+        for c in FiniteSpace.cells_of(sp.x_mask & ~d)
+        # only one-cell extensions to another closed set
+        if not sp.down[c] & sp.x_mask & ~d & ~(1 << c)
+    )
+    hit = _COMPACT_TABLES[lam] = (table, monotone)
+    return hit
 
 
 def grubb_mu_mask(lam: SolidSetFunction, mask: int) -> Fraction:
@@ -171,20 +148,10 @@ def grubb_mu_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     if sp.infinity is not None:
         raise RegionError("the compact path is defined on compact spaces only")
     if sp.is_open_mask(mask):
-        key = ("grubb-mu-open", mask)
-        hit = lam._memo.get(key)
-        if hit is not None:
-            return hit
-        if _grubb_lambda2c_monotone(lam):
-            out = _grubb_lambda2c_mask(lam, k_max_mask(sp, mask))
-        else:
-            out = max(
-                _grubb_lambda2c_mask(lam, d)
-                for d in downset_catalog(sp)
-                if not d & ~mask
-            )
-        lam._memo[key] = out
-        return out
+        table, monotone = _compact_table(lam)
+        if monotone:
+            return table[k_max_mask(sp, mask)]
+        return max(v for d, v in table.items() if not d & ~mask)
     if sp.is_closed_mask(mask):
         return lam.value(sp.x_mask) - grubb_mu_mask(lam, sp.x_mask & ~mask)
     raise RegionError("grubb_mu requires an open or closed region")
@@ -193,30 +160,29 @@ def grubb_mu_mask(lam: SolidSetFunction, mask: int) -> Fraction:
 # ----- measure objects --------------------------------------------------------
 
 
-class TopMeasure:
-    """Engine-built extension of a solid-set function."""
+class RawTopMeasure:
+    """A user-supplied evaluator on open and closed regions; validated, never
+    trusted.  Each value is evaluated once and kept in the measure's memo."""
 
-    def __init__(self, lam: SolidSetFunction):
-        self.space = lam.space
-        self.lam = lam
-        self.kind = f"extension of {lam.kind}"
-        self.engine_built = True
-        self.compact_finite = True
+    lam: Optional[SolidSetFunction] = None
+    engine_built = False
+
+    def __init__(self, space: FiniteSpace, kind: str, fn: Callable[[int], Value]):
+        self.space = space
+        self.kind = kind
+        self._fn = fn
         self._memo: dict[int, Value] = {}
 
     def mu_mask(self, mask: int) -> Value:
         hit = self._memo.get(mask)
-        if hit is not None:
-            return hit
-        sp = self.space
-        if sp.is_open_mask(mask):
-            out = mu_open_mask(self.lam, mask)
-        elif sp.is_closed_mask(mask):
-            out = mu_closed_mask(self.lam, mask)
-        else:
-            raise RegionError("a topological measure is defined on open and closed regions")
-        self._memo[mask] = out
-        return out
+        if hit is None:
+            sp = self.space
+            if not (sp.is_open_mask(mask) or sp.is_closed_mask(mask)):
+                raise RegionError(
+                    "a topological measure is defined on open and closed regions"
+                )
+            hit = self._memo[mask] = self._fn(mask)
+        return hit
 
     def mu(self, region: Region) -> Value:
         return self.mu_mask(region.cells)
@@ -224,6 +190,33 @@ class TopMeasure:
     @property
     def finite(self) -> bool:
         return not is_inf(self.mu_mask(self.space.x_mask))
+
+
+class TopMeasure(RawTopMeasure):
+    """Engine-built extension of a solid-set function: μ(U) = λ₂(K_max(U)) on
+    an open U, and μ(F) = μ(U_min(F)) on a closed F, where U_min(F) is its
+    minimal open superset."""
+
+    engine_built = True
+
+    def __init__(self, lam: SolidSetFunction):
+        sp = lam.space
+        # Many open sets share one maximal compact subset.  The evaluator
+        # holds no reference to the measure, so a measure is freed by
+        # reference counting alone.
+        by_k_max: dict[int, Fraction] = {}
+
+        def fn(mask: int) -> Fraction:
+            if not sp.is_open_mask(mask):
+                mask = sp.up_closure_mask(mask)
+            k = k_max_mask(sp, mask)
+            hit = by_k_max.get(k)
+            if hit is None:
+                hit = by_k_max[k] = lambda2_mask(lam, k)
+            return hit
+
+        super().__init__(sp, f"extension of {lam.kind}", fn)
+        self.lam = lam
 
     def is_simple(self, cap: Optional[int] = None) -> bool:
         """Whether μ takes only the values 0 and 1 on 𝒦 ∪ 𝒪."""
@@ -237,31 +230,6 @@ class TopMeasure:
         return True
 
 
-class RawTopMeasure:
-    """A user-supplied evaluator on open and closed regions; validated, never
-    trusted."""
-
-    def __init__(self, space: FiniteSpace, kind: str, fn: Callable[[int], Value]):
-        self.space = space
-        self.lam = None
-        self.kind = kind
-        self.engine_built = False
-        self._fn = fn
-        self._memo: dict[int, Value] = {}
-
-    def mu_mask(self, mask: int) -> Value:
-        sp = self.space
-        if not (sp.is_open_mask(mask) or sp.is_closed_mask(mask)):
-            raise RegionError("a topological measure is defined on open and closed regions")
-        hit = self._memo.get(mask)
-        if hit is None:
-            hit = self._memo[mask] = self._fn(mask)
-        return hit
-
-    def mu(self, region: Region) -> Value:
-        return self.mu_mask(region.cells)
-
-
 def make_rule_threshold_tm(
     sp: FiniteSpace, weights: dict[int, Fraction], threshold: Fraction
 ) -> RawTopMeasure:
@@ -269,15 +237,10 @@ def make_rule_threshold_tm(
     threshold collapses to 0, otherwise the region keeps its weight, and
     unbounded regions weigh infinity (open sets use an inclusive threshold,
     compact sets a strict one)."""
-    items = sorted(weights.items())
-
-    def weight(mask: int) -> Value:
-        if not sp.is_bounded_mask(mask):
-            return INF
-        return sum((w for c, w in items if mask >> c & 1), Fraction(0))
+    weight = _weight_sum(weights)
 
     def fn(mask: int) -> Value:
-        w = weight(mask)
+        w = weight(mask) if sp.is_bounded_mask(mask) else INF
         if sp.is_open_mask(mask):
             if not is_inf(w) and w <= threshold:
                 return Fraction(0)

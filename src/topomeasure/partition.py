@@ -33,13 +33,19 @@ class SolidPartition:
         return tuple(p.cells for p in self.parts)
 
 
+# Largest disjoint closed-solid family the genus search tries, the work
+# budget of its exact partition enumeration, and the most closed members
+# whose subfamilies an irreducibility check walks.
+_FAMILY_SIZE_BOUND = 5
+_EXACT_PARTITION_BUDGET = 500_000
+_MAX_CLOSED = 20
+
+
 @dataclass(frozen=True)
 class GenusReport:
     genus: int
     exact: bool
     witness: Optional[SolidPartition]
-    family_size_bound: int
-    budget: int
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -92,7 +98,7 @@ def enumerate_solid_partitions(
     yield from rec(target.cells, ())
 
 
-def is_irreducible(p: SolidPartition, max_closed: int = 20) -> bool:
+def is_irreducible(p: SolidPartition) -> bool:
     """Whether removing every proper subfamily of the closed members leaves a
     connected complement (partition of X on a compact space)."""
     sp = p.target.space
@@ -101,9 +107,9 @@ def is_irreducible(p: SolidPartition, max_closed: int = 20) -> bool:
     if p.target.cells != sp.x_mask:
         raise ValueError("irreducibility is defined for partitions of X")
     closed_masks = [p.parts[i].cells for i in p.closed_part_indices]
-    if len(closed_masks) > max_closed:
+    if len(closed_masks) > _MAX_CLOSED:
         raise BudgetExceeded(
-            f"partition has {len(closed_masks)} closed members; bound is {max_closed}"
+            f"partition has {len(closed_masks)} closed members; bound is {_MAX_CLOSED}"
         )
     for subset in range(1, 1 << len(closed_masks)):
         if subset == (1 << len(closed_masks)) - 1:
@@ -117,11 +123,10 @@ def is_irreducible(p: SolidPartition, max_closed: int = 20) -> bool:
     return True
 
 
-def _disjoint_closed_families(
-    sp: FiniteSpace, family_size_bound: int, budget: int
-) -> Iterator[tuple[int, ...]]:
-    """Disjoint families (size 1..bound) of nonempty proper closed solid sets,
-    canonical increasing order; raises BudgetExceeded past the work budget."""
+def _disjoint_closed_families(sp: FiniteSpace, budget: int) -> Iterator[tuple[int, ...]]:
+    """Disjoint families (1 to _FAMILY_SIZE_BOUND members) of nonempty proper
+    closed solid sets, canonical increasing order; raises BudgetExceeded past
+    the work budget."""
     candidates = [m for m in compact_solid_catalog(sp, budget) if m and m != sp.x_mask]
     work = 0
 
@@ -129,7 +134,7 @@ def _disjoint_closed_families(
         nonlocal work
         if chosen:
             yield chosen
-        if len(chosen) == family_size_bound:
+        if len(chosen) == _FAMILY_SIZE_BOUND:
             return
         for i in range(start, len(candidates)):
             m = candidates[i]
@@ -176,12 +181,7 @@ def _partition_from_family(sp: FiniteSpace, family: tuple[int, ...]) -> Optional
     return p
 
 
-def genus(
-    sp: FiniteSpace,
-    family_size_bound: int = 5,
-    budget: int = 2_000_000,
-    exact_partition_budget: int = 500_000,
-) -> GenusReport:
+def genus(sp: FiniteSpace, budget: int = 2_000_000) -> GenusReport:
     """Genus of a compact space.
 
     Genus 0 is decided by exhausting disjoint closed-solid families up to the
@@ -194,14 +194,14 @@ def genus(
         raise ValueError("genus is defined for compact spaces; apply to the compactification")
     notes: list[str] = []
     vertex_count = bin(sp.vertex_mask()).count("1")
-    exhaustive_families = family_size_bound >= vertex_count
+    exhaustive_families = _FAMILY_SIZE_BOUND >= vertex_count
     if exhaustive_families:
         notes.append(
             "family bound covers all sizes (each disjoint member needs its own minimal cell)"
         )
     best_witness: Optional[SolidPartition] = None
     try:
-        for fam in _disjoint_closed_families(sp, family_size_bound, budget):
+        for fam in _disjoint_closed_families(sp, budget):
             if len(fam) < 2:
                 continue
             removed = 0
@@ -222,8 +222,6 @@ def genus(
             genus=0 if best_witness is None else len(best_witness.closed_part_indices) - 1,
             exact=False,
             witness=best_witness,
-            family_size_bound=family_size_bound,
-            budget=budget,
             notes=tuple(notes + ["family search budget exhausted; lower bound only"]),
         )
     if best_witness is None:
@@ -231,8 +229,6 @@ def genus(
             genus=0,
             exact=exhaustive_families,
             witness=None,
-            family_size_bound=family_size_bound,
-            budget=budget,
             notes=tuple(notes),
         )
     lower = len(best_witness.closed_part_indices) - 1
@@ -241,8 +237,8 @@ def genus(
     try:
         best = lower
         for p in enumerate_solid_partitions(
-            Region(sp, sp.x_mask), max_parts=2 * (family_size_bound + 1),
-            budget=exact_partition_budget,
+            Region(sp, sp.x_mask), max_parts=2 * (_FAMILY_SIZE_BOUND + 1),
+            budget=_EXACT_PARTITION_BUDGET,
         ):
             n_closed = len(p.closed_part_indices)
             if n_closed - 1 > best and is_irreducible(p):
@@ -253,8 +249,6 @@ def genus(
             genus=best,
             exact=True,
             witness=best_witness,
-            family_size_bound=family_size_bound,
-            budget=budget,
             notes=tuple(notes),
         )
     except BudgetExceeded:
@@ -263,8 +257,6 @@ def genus(
             genus=lower,
             exact=False,
             witness=best_witness,
-            family_size_bound=family_size_bound,
-            budget=budget,
             notes=tuple(notes),
         )
 

@@ -150,29 +150,32 @@ def _over_cap(sp: FiniteSpace, cap: int) -> BudgetExceeded:
 
 
 def _enumerate_downsets(sp: FiniteSpace, cap: Optional[int]) -> list[int]:
-    n = sp.cell_count
-    down = sp.down
-    xm = sp.x_mask
     out = [0]
-
-    def rec(current: int, banned: int) -> None:
-        if cap is not None and len(out) > cap:
-            raise _over_cap(sp, cap)
-        for cell in range(n):
-            bit = 1 << cell
-            if bit & (current | banned) or not bit & xm:
-                continue
-            need = down[cell] & xm
-            if need & banned:
-                banned |= bit
-                continue
-            out.append(current | need)
-            rec(current | need, banned)
-            banned |= bit
-
-    rec(0, 0)
+    _grow_downsets(sp, cap, out, 0, 0)
     out.sort()
     return out
+
+
+def _grow_downsets(
+    sp: FiniteSpace, cap: Optional[int], out: list[int], current: int, banned: int
+) -> None:
+    # A module-level recursion, not a self-calling closure: a closure is a
+    # reference cycle, which would keep a catalog stopped at its cap alive
+    # until the next garbage collection.
+    if cap is not None and len(out) > cap:
+        raise _over_cap(sp, cap)
+    down, xm = sp.down, sp.x_mask
+    for cell in range(sp.cell_count):
+        bit = 1 << cell
+        if bit & (current | banned) or not bit & xm:
+            continue
+        need = down[cell] & xm
+        if need & banned:
+            banned |= bit
+            continue
+        out.append(current | need)
+        _grow_downsets(sp, cap, out, current | need, banned)
+        banned |= bit
 
 
 # Each catalog is cached once per space, whatever cap it was asked with: an

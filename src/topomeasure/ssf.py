@@ -67,9 +67,10 @@ class SolidSetFunction:
     def value(self, mask: int) -> Fraction:
         hit = self._memo.get(mask)
         if hit is None:
-            hit = self._memo[mask] = self._fn(mask)
+            hit = self._fn(mask)
             if hit < 0:
                 raise ValueError("solid-set function values must be nonnegative")
+            self._memo[mask] = hit
         return hit
 
     def evaluate(self, region: Region) -> Fraction:
@@ -126,7 +127,10 @@ def _require_vertex(sp: FiniteSpace, cell: int, what: str) -> None:
 
 def make_point_majority(sp: FiniteSpace, points) -> SolidSetFunction:
     """λ(A) = k/n when A contains 2k or 2k+1 of the 2n+1 marked vertices."""
-    pts = sorted(set(points))
+    pts = sorted(points)
+    for a, b in zip(pts, pts[1:]):
+        if a == b:
+            raise ValueError(f"marked point {a} is given more than once")
     if len(pts) % 2 == 0 or len(pts) < 3:
         raise ValueError("point-majority needs an odd number (>= 3) of marked points")
     for p in pts:

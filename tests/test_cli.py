@@ -206,6 +206,12 @@ MALFORMED = {
         "eval", "--space", "disk(4)", "--ssf", "threshold t=1/0", "--region", "@all"),
     "zero constant denominator": (
         "validate-tm", "--space", "interval(3)", "--constant", "1/0"),
+    "repeated marked point": (
+        "eval", "--space", "disk(4)", "--ssf", "point-majority points=1,1,2,3",
+        "--region", "@all"),
+    "repeated marked point, odd count": (
+        "eval", "--space", "disk(4)", "--ssf", "point-majority points=1,1,2",
+        "--region", "@all"),
 }
 
 
@@ -229,3 +235,12 @@ def test_partitions_limit_below_one_is_usage_error(capsys, limit):
         "--limit", "1",
     )
     assert code == 0 and json.loads(out)["count_listed"] == 1
+
+
+@pytest.mark.parametrize("max_parts", ["0", "-1"])
+def test_partitions_max_parts_below_one_is_usage_error(capsys, max_parts):
+    code, out, err = run(
+        capsys, "partitions", "--space", "line_window(4)", "--region", "1,2,5",
+        "--max-parts", max_parts,
+    )
+    assert code == 2 and out == "" and "--max-parts" in err

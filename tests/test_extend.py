@@ -3,6 +3,8 @@ and the measure objects built from solid-set functions."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,9 +17,11 @@ from topomeasure.extend import (
     lambda2_mask,
     mu_closed_mask,
     mu_open_mask,
+    validate_tm,
 )
 from topomeasure.registry import shipped_compact_entries, shipped_entries
 from topomeasure.solid import (
+    BudgetExceeded,
     compact_solid_catalog,
     downset_catalog,
     enumerate_bounded_solid_sets,
@@ -28,9 +32,16 @@ from topomeasure.space import (
     Region,
     RegionError,
     build_circle,
+    build_disk,
     build_line_window,
+    build_sphere,
 )
-from topomeasure.ssf import make_restricted_measure, uniform_vertex_weights
+from topomeasure.ssf import (
+    make_restricted_measure,
+    make_threshold,
+    make_two_point,
+    uniform_vertex_weights,
+)
 
 COMPACT_ENTRIES = shipped_compact_entries()
 SMALL_ENTRIES = [e for e in shipped_entries() if e.space().cell_count <= 17]
@@ -145,3 +156,109 @@ def test_simplicity_of_two_valued_extensions():
         e for e in COMPACT_ENTRIES if e.key == "disk-4:uniform"
     )
     assert not TopMeasure(uniform_entry.ssf()).is_simple()
+
+
+# Solid-set functions whose compact-path λ₂ᶜ is not monotone, so the compact
+# path takes its literal sup over compact subsets.
+NONMONOTONE = [
+    (build, name)
+    for build in (lambda: build_circle(4), lambda: build_disk(4), lambda: build_sphere(2))
+    for name in ("threshold", "two-point")
+]
+
+
+def _nonmonotone_ssf(build, name):
+    sp = build()
+    weights = uniform_vertex_weights(sp)
+    if name == "threshold":
+        return make_threshold(sp, weights, Fraction(2))
+    vertices = sorted(weights)
+    return make_two_point(sp, vertices[0], vertices[-1], weights)
+
+
+def _case_id(case) -> str:
+    build, name = case
+    return f"{build().name}:{name}"
+
+
+def _literal_lambda2c(lam, closed: int) -> Fraction:
+    sp = lam.space
+    total = Fraction(0)
+    for comp in sp.components_masks(closed):
+        total += lam.value(sp.x_mask) - sum(
+            (lam.value(m) for m in sp.components_masks(sp.x_mask & ~comp)), Fraction(0)
+        )
+    return total
+
+
+@pytest.mark.parametrize("case", NONMONOTONE, ids=_case_id)
+def test_compact_path_on_nonmonotone_functions_is_the_literal_sup(case):
+    lam = _nonmonotone_ssf(*case)
+    sp = lam.space
+    closeds = downset_catalog(sp)
+    l2c = {d: _literal_lambda2c(lam, d) for d in closeds}
+    assert any(
+        l2c[a] > l2c[b] for a in closeds for b in closeds if not a & ~b
+    ), "λ₂ᶜ is monotone here, so the literal-sup branch is not reached"
+    expected = {
+        u: max(v for d, v in l2c.items() if not d & ~u) for u in upset_catalog(sp)
+    }
+    for u, value in expected.items():
+        assert grubb_mu_mask(lam, u) == value
+    for c in closeds:
+        if c not in expected:  # a clopen set takes its open value
+            assert grubb_mu_mask(lam, c) == lam.value(sp.x_mask) - expected[sp.x_mask & ~c]
+
+
+@pytest.mark.parametrize("case", NONMONOTONE, ids=_case_id)
+def test_measure_object_equals_the_plain_formulas(case):
+    lam = _nonmonotone_ssf(*case)
+    sp = lam.space
+    tm = TopMeasure(lam)
+    for f in downset_catalog(sp):
+        assert tm.mu_mask(f) == mu_closed_mask(lam, f)
+    for u in upset_catalog(sp):
+        assert tm.mu_mask(u) == mu_open_mask(lam, u)
+
+
+@pytest.mark.parametrize("case", NONMONOTONE[:2], ids=_case_id)
+def test_function_memo_holds_only_function_values(case):
+    lam = _nonmonotone_ssf(*case)
+    sp = lam.space
+    tm = TopMeasure(lam)
+    regions = downset_catalog(sp) + upset_catalog(sp)
+    for m in regions:
+        tm.mu_mask(m)
+        grubb_mu_mask(lam, m)
+    validate_tm(tm)
+    assert lam._memo and all(type(k) is int for k in lam._memo)
+
+
+def test_catalog_stopped_at_its_cap_leaves_no_cyclic_garbage():
+    sp = build_disk(4)  # a fresh space: its catalog is not cached yet
+    gc.disable()
+    try:
+        gc.collect()
+        with pytest.raises(BudgetExceeded):
+            downset_catalog(sp, 50)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_measure_and_function_are_freed_by_reference_counting():
+    lam = _nonmonotone_ssf(*NONMONOTONE[0])
+    sp = lam.space
+    gc.disable()
+    try:
+        tm = TopMeasure(lam)
+        for m in downset_catalog(sp) + upset_catalog(sp):
+            tm.mu_mask(m)
+            grubb_mu_mask(lam, m)
+        tm_ref, lam_ref = weakref.ref(tm), weakref.ref(lam)
+        del tm
+        assert tm_ref() is None
+        del lam
+        assert lam_ref() is None
+    finally:
+        gc.enable()

@@ -119,3 +119,17 @@ def test_evaluate_rejects_non_solid_regions():
 
     with pytest.raises(RegionError):
         lam.evaluate(region(sp, [0, 2]))  # disconnected, not solid
+
+
+def test_negative_value_raises_on_every_call():
+    sp = build_disk(4)
+    lam = make_restricted_measure(sp, {1: Fraction(-1)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lam.value(sp.closure_mask(1 << 1))  # the weighted vertex
+
+
+@pytest.mark.parametrize("points", [[1, 1, 2, 3], [1, 1, 2]])
+def test_point_majority_rejects_a_repeated_point(points):
+    with pytest.raises(ValueError, match="marked point 1 is given more than once"):
+        make_point_majority(build_disk(4), points)
