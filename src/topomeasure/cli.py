@@ -23,7 +23,7 @@ from .extend import RawTopMeasure, TopMeasure, validate_tm
 from .oracle import OracleBudget, OracleRefusal, brute_force_mu, exhaustive_axiom_check
 from .partition import enumerate_solid_partitions, genus, hatX_genus0_check
 from .registry import BUILDERS, shipped_entries
-from .solid import BudgetExceeded
+from .solid import CATALOG_CAP, BudgetExceeded
 from .space import (
     FiniteSpace,
     Region,
@@ -285,7 +285,9 @@ def cmd_oracle_check(args) -> int:
     cache: dict = {}
     from .solid import downset_catalog, upset_catalog
 
-    regions = sorted(set(downset_catalog(sp)) | set(upset_catalog(sp)))
+    regions = sorted(
+        set(downset_catalog(sp, args.budget)) | set(upset_catalog(sp, args.budget))
+    )
     for m in regions:
         got = brute_force_mu(lambda r: lam.value(r.cells), Region(sp, m),
                              budget, cache)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ssf", help="solid-set-function descriptor")
         p.add_argument("--region", help="region literal (cell ids and @labels)")
         p.add_argument("--budget", type=int,
-                       default=int(os.environ.get("TOPOMEASURE_BUDGET", "200000")),
+                       default=int(os.environ.get("TOPOMEASURE_BUDGET", CATALOG_CAP)),
                        help="enumeration budget (env TOPOMEASURE_BUDGET)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0,

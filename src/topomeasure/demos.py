@@ -231,12 +231,12 @@ def demo_three_points_sphere() -> DemoReport:
                  [s1, s2, s3], Fraction(0))
     # Every connected open-or-closed region holding two or more marked
     # vertices has measure one.
-    from .solid import downset_catalog, upset_catalog
+    from .solid import CATALOG_CAP, downset_catalog, upset_catalog
 
     marks = (1 << 0) | (1 << 1) | (1 << 2)
     bad = None
     checked = 0
-    for m in set(downset_catalog(sp)) | set(upset_catalog(sp)):
+    for m in set(downset_catalog(sp, CATALOG_CAP)) | set(upset_catalog(sp, CATALOG_CAP)):
         if not m or not sp.connected(m):
             continue
         if bin(m & marks).count("1") < 2:

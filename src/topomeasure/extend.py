@@ -32,10 +32,12 @@ from weakref import WeakKeyDictionary
 
 from .space import FiniteSpace, Region, RegionError
 from .solid import (
+    CATALOG_CAP,
     BudgetExceeded,
     bounded_solid_catalog,
     downset_catalog,
     hull_mask,
+    k_max_mask,
     upset_catalog,
 )
 from .ssf import (
@@ -78,16 +80,6 @@ def lambda2_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     )
 
 
-def k_max_mask(sp: FiniteSpace, open_mask: int) -> int:
-    """The maximal compact subset of an open set: cells whose full down-set
-    (in the compactified poset) stays inside the set."""
-    out = 0
-    for c in FiniteSpace.cells_of(open_mask):
-        if sp.down[c] & ~open_mask == 0:
-            out |= 1 << c
-    return out
-
-
 def mu_open_mask(lam: SolidSetFunction, mask: int) -> Fraction:
     sp = lam.space
     if not sp.is_open_mask(mask):
@@ -116,7 +108,7 @@ def _compact_table(lam: SolidSetFunction) -> tuple[dict[int, Fraction], bool]:
     Single-cell extensions connect the whole lattice of closed sets, so
     monotonicity along them certifies global monotonicity, which in turn lets
     the sup over compact subsets of an open set be read off at the maximal
-    one.
+    one.  Raises BudgetExceeded past CATALOG_CAP closed sets.
     """
     hit = _COMPACT_TABLES.get(lam)
     if hit is not None:
@@ -124,7 +116,7 @@ def _compact_table(lam: SolidSetFunction) -> tuple[dict[int, Fraction], bool]:
     sp = lam.space
     total_x = lam.value(sp.x_mask)
     table: dict[int, Fraction] = {}
-    for closed in downset_catalog(sp):
+    for closed in downset_catalog(sp, CATALOG_CAP):
         out = Fraction(0)
         for comp in sp.components_masks(closed):
             piece = total_x
@@ -218,8 +210,9 @@ class TopMeasure(RawTopMeasure):
         super().__init__(sp, f"extension of {lam.kind}", fn)
         self.lam = lam
 
-    def is_simple(self, cap: Optional[int] = None) -> bool:
-        """Whether μ takes only the values 0 and 1 on 𝒦 ∪ 𝒪."""
+    def is_simple(self, cap: int = CATALOG_CAP) -> bool:
+        """Whether μ takes only the values 0 and 1 on 𝒦 ∪ 𝒪.  Raises
+        BudgetExceeded when either catalog has more than ``cap`` members."""
         sp = self.space
         for m in downset_catalog(sp, cap):
             if sp.is_bounded_mask(m) and self.mu_mask(m) not in (0, 1):
@@ -355,7 +348,7 @@ def _subadditivity_sweep(vt: _ValueTable, catalog: list[int], label: str) -> Con
     )
 
 
-def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
+def validate_tm(tm, catalog_cap: int = CATALOG_CAP) -> TmValidationReport:
     sp = tm.space
     conditions: dict[str, ConditionVerdict] = {}
     informational: dict[str, ConditionVerdict] = {}
@@ -499,7 +492,7 @@ def validate_tm(tm, catalog_cap: int = 200_000) -> TmValidationReport:
                 for m in solids if mu(m) != lam.value(m)
             ),
         )
-        if lam.is_two_valued():
+        if lam.is_two_valued(catalog_cap):
             conditions["simplicity_propagation"] = _first_bad_row(
                 "two-valued sweep over compacts and opens", len(domain),
                 (
@@ -519,7 +512,7 @@ def find_nonsubadditive_cover(
     max_cover_size: int = 4,
     target: Optional[Region] = None,
     candidates: Optional[list[Region]] = None,
-    catalog_cap: int = 200_000,
+    catalog_cap: int = CATALOG_CAP,
 ) -> Optional[list[Region]]:
     """A family of ≤ max_cover_size open/closed regions covering the target
     (default X) whose μ-sum is strictly below μ(target), or None.

@@ -23,6 +23,11 @@ class BudgetExceeded(RuntimeError):
     """An enumeration would exceed the configured cap; never silently truncated."""
 
 
+# The catalog cap of every enumeration that is not given one of its own (the
+# validators' ``catalog_cap`` and the command line's ``--budget`` default).
+CATALOG_CAP = 200_000
+
+
 class ModelViolation(RuntimeError):
     """A structural decomposition produced a piece whose classification
     contradicts the advertised class (degenerate complex)."""
@@ -83,6 +88,16 @@ def hull_mask(sp: FiniteSpace, mask: int) -> int:
     for m in sp.components_masks(sp.x_mask & ~mask):
         if sp.is_bounded_mask(m):
             out |= m
+    return out
+
+
+def k_max_mask(sp: FiniteSpace, open_mask: int) -> int:
+    """The maximal compact subset of an open set: cells whose full down-set
+    (in the compactified poset) stays inside the set."""
+    out = 0
+    for c in FiniteSpace.cells_of(open_mask):
+        if sp.down[c] & ~open_mask == 0:
+            out |= 1 << c
     return out
 
 
@@ -258,7 +273,9 @@ def enumerate_bounded_solid_sets(
 
 def interpolate(sp: FiniteSpace, k_mask: int, w_mask: int) -> Optional[tuple[int, int]]:
     """For compact K inside open semisolid W, find bounded open semisolid V and
-    compact semisolid D with K ⊆ V ⊆ D ⊆ W; None if no such pair exists."""
+    compact semisolid D with K ⊆ V ⊆ D ⊆ W; None if no such pair exists.
+    Raises BudgetExceeded when the fallback search would scan more than
+    CATALOG_CAP open sets."""
     if not sp.is_compact_mask(k_mask) or not sp.is_open_mask(w_mask):
         raise RegionError("interpolate needs compact K inside open W")
     if k_mask & ~w_mask:
@@ -277,7 +294,7 @@ def interpolate(sp: FiniteSpace, k_mask: int, w_mask: int) -> Optional[tuple[int
         return v, d
     # Fallback search (needed when K is disconnected): smallest connected
     # bounded open V between K and W whose closure stays inside W.
-    for cand in sorted(upset_catalog(sp), key=lambda m: (m.bit_count(), m)):
+    for cand in sorted(upset_catalog(sp, CATALOG_CAP), key=lambda m: (m.bit_count(), m)):
         if k_mask & ~cand or cand & ~w_mask:
             continue
         dc = sp.closure_mask(cand)

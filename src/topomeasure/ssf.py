@@ -27,11 +27,13 @@ from typing import Callable, Optional
 
 from .space import FiniteSpace, Region, RegionError, parse_region_literal
 from .solid import (
+    CATALOG_CAP,
     BudgetExceeded,
     bounded_open_solid_catalog,
     bounded_solid_catalog,
     compact_solid_catalog,
     is_solid_mask,
+    k_max_mask,
 )
 from .partition import enumerate_solid_partitions, genus, hatX_genus0_check, is_irreducible
 from .values import INF, Value, format_value, is_inf, parse_fraction
@@ -88,10 +90,11 @@ class SolidSetFunction:
             )
         return self.value(m)
 
-    def is_two_valued(self) -> bool:
-        """Whether λ takes only the values 0 and 1 on its whole domain."""
+    def is_two_valued(self, cap: int = CATALOG_CAP) -> bool:
+        """Whether λ takes only the values 0 and 1 on its whole domain.
+        Raises BudgetExceeded when the domain has more than ``cap`` members."""
         return all(
-            self.value(m) in (0, 1) for m in bounded_solid_catalog(self.space)
+            self.value(m) in (0, 1) for m in bounded_solid_catalog(self.space, cap)
         )
 
     def __repr__(self) -> str:
@@ -246,23 +249,32 @@ def make_threshold(
 def make_restricted_measure(
     sp: FiniteSpace, weights: dict[int, Fraction]
 ) -> SolidSetFunction:
-    """Restriction of the additive weight measure to solid sets, regularized
-    on open solids: λ(U) = max λ over compact solids inside U, so inner
-    regularity holds by construction."""
+    """Restriction of the additive weight measure λ₀ to solid sets,
+    regularized on bounded open solids so that inner regularity holds by
+    construction: λ(U) = max λ₀(K) over the compact solids K ⊆ U.
+
+    With nonnegative weights that max is local: it is the largest λ₀(C)
+    over the components C of K_max(U), the maximal compact subset of U (0
+    when K_max(U) is empty).  A compact solid inside U is connected and
+    lies in K_max(U), so it lies in one C, and λ₀ is monotone.  Each C is a
+    compact solid: C together with the components of X∖C that stay inside
+    U (open, and bounded as U is) is closed, bounded, connected and inside
+    U, so it lies in K_max(U) and equals C.  Every component of X∖C thus meets X∖U, whose components
+    are unbounded because U is solid (on a compact space, X∖U is connected
+    and X∖C has one component), so C is solid.  A negative weight breaks
+    monotonicity; the max is then taken over the compact-solid catalog,
+    which raises BudgetExceeded past CATALOG_CAP members."""
     lam0 = _weight_sum(weights)
-    compacts = None
+    local = min(weights.values(), default=0) >= 0
 
     def fn(mask: int) -> Fraction:
-        nonlocal compacts
         if sp.is_compact_mask(mask):
             return lam0(mask)
-        if compacts is None:
-            compacts = [(m, lam0(m)) for m in compact_solid_catalog(sp)]
-        best = Fraction(0)
-        for m, w in compacts:
-            if not m & ~mask and w > best:
-                best = w
-        return best
+        if local:
+            pieces = sp.components_masks(k_max_mask(sp, mask))
+        else:
+            pieces = [m for m in compact_solid_catalog(sp, CATALOG_CAP) if not m & ~mask]
+        return max([Fraction(0)] + [lam0(m) for m in pieces])
 
     return SolidSetFunction(sp, "measure", {"weights": dict(weights)}, fn)
 
@@ -517,7 +529,7 @@ def _superadditivity_sweep(
     return ConditionVerdict("pass", method, checked)
 
 
-def validate_ssf(lam: SolidSetFunction, catalog_cap: int = 200_000) -> SsfValidationReport:
+def validate_ssf(lam: SolidSetFunction, catalog_cap: int = CATALOG_CAP) -> SsfValidationReport:
     sp = lam.space
     conditions: dict[str, ConditionVerdict] = {}
     try:
